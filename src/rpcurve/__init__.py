@@ -36,8 +36,10 @@ from .data import (
     NormalizationTransform,
     NormalizedTable,
     Orientation,
+    ScoringRows,
     denormalize_point,
     load_bundled_table,
+    load_rows,
     load_schema,
     load_table,
     normalize,

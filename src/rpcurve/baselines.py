@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy import stats
 
 from .data import IndicatorTable, Orientation, normalize
 from .errors import (
@@ -263,6 +262,8 @@ def compare(
     reference maps a subset of ids to scores; it joins as one more column
     and its correlations use the covered subset only.
     """
+    from scipy import stats  # deferred: it costs every CLI run about 1 s
+
     if not results:
         raise LengthMismatch("nothing to compare")
     ids = results[0].item_ids

@@ -23,6 +23,7 @@ from .data import (
     IndicatorTable,
     apply_transform,
     bundled_data_path,
+    load_rows,
     load_schema,
     load_table,
 )
@@ -91,7 +92,7 @@ def cmd_fit(args) -> int:
     table = _load_inputs(args.data, args.schema)
     config = FitConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
     curve, report = fit_table(table, config)
-    ranking = rank(table, curve, grid_size=config.grid_size)
+    ranking = rank(table, curve)
     save_fit(args.out, curve, report, ranking)
     print(
         f"fit: {table.n_items} items, {table.n_indicators} dims, "
@@ -109,21 +110,16 @@ def _ranking_rows(ranking) -> list[list]:
 
 
 def cmd_rank(args) -> int:
-    schema = load_schema(args.schema) if args.schema else None
     curve = load_curve(args.curve)
-    if schema is not None:
-        table = load_table(args.data, schema)
+    if args.schema:
+        # orientations are irrelevant for scoring; the schema names columns
+        names = load_schema(args.schema)
+    elif curve.transform is None:
+        raise TransformMismatch("curve file has no transform; supply --schema")
     else:
-        if curve.transform is None:
-            raise TransformMismatch(
-                "curve file has no transform; supply --schema"
-            )
         names = curve.transform.indicator_names
-        # orientations are irrelevant for scoring against a fitted curve
-        table = load_table(
-            args.data, {name: "positive" for name in names}
-        )
-    ranking = rank(table, curve)
+    rows = load_rows(args.data, names)
+    ranking = rank(rows, curve)
     if args.format == "csv":
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -141,7 +137,7 @@ def cmd_rank(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-    print(f"rank: scored {table.n_items} items, wrote {args.out}")
+    print(f"rank: scored {len(rows.item_ids)} items, wrote {args.out}")
     return EXIT_OK
 
 
@@ -193,7 +189,7 @@ def cmd_plotdata(args) -> int:
     if curve.transform is None:
         raise TransformMismatch("curve file has no transform")
     names = curve.transform.indicator_names
-    table = load_table(args.data, {name: "positive" for name in names})
+    table = load_rows(args.data, names)
     z = apply_transform(table.values, curve.transform)
 
     os.makedirs(args.out, exist_ok=True)

@@ -47,8 +47,20 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class ScoringRows:
+    """Raw rows to score against a fitted curve, as :func:`load_rows` reads
+    them.  Unlike :class:`IndicatorTable` they hold no fit-time invariant:
+    one row or a constant column is fine, since the curve's stored
+    transform does the scaling."""
+
+    item_ids: tuple[str, ...]
+    indicator_names: tuple[str, ...]
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
 class IndicatorTable:
-    """Validated raw indicator data.
+    """Validated raw indicator data, the input of a fit.
 
     Invariants enforced at construction: at least 2 items and 1 indicator,
     all cells finite, every column has at least two distinct values, and
@@ -176,25 +188,14 @@ def load_schema(path) -> dict[str, Orientation]:
     return {str(k): Orientation.parse(v) for k, v in raw.items()}
 
 
-def load_table(
-    path,
-    schema: Mapping[str, Orientation | str],
-    provenance: str | None = None,
-) -> IndicatorTable:
-    """Load ``id,<ind1>,...,<indD>`` CSV rows against an orientation schema.
-
-    Raises MissingCell / NonNumericCell / ConstantColumn / UnknownIndicator
-    naming the offending row or column.
-    """
-    schema = {
-        k: v if isinstance(v, Orientation) else Orientation.parse(v)
-        for k, v in schema.items()
-    }
+def _read_csv(path, expected):
+    """Ids, indicator names and parsed values of ``id,<ind1>,...`` CSV rows
+    whose header holds exactly the names in ``expected``, in any order."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     rows = [r for r in rows if r]  # ignore fully blank lines
-    if not rows:
-        raise SchemaError(f"{path}: empty file")
+    if len(rows) < 2:
+        raise SchemaError(f"{path}: no data rows")
     header = [h.strip() for h in rows[0]]
     if not header or header[0] != "id":
         raise SchemaError(f"{path}: first header column must be 'id'")
@@ -204,14 +205,14 @@ def load_table(
     if len(set(names)) != len(names):
         raise SchemaError(f"{path}: duplicate indicator columns in header")
     for name in names:
-        if name not in schema:
+        if name not in expected:
             raise UnknownIndicator(
-                f"indicator {name!r} in {path} has no orientation in schema"
+                f"indicator {name!r} in {path} is not an expected indicator"
             )
-    for name in schema:
+    for name in expected:
         if name not in names:
             raise UnknownIndicator(
-                f"indicator {name!r} in schema is absent from {path}"
+                f"expected indicator {name!r} is absent from {path}"
             )
 
     ids: list[str] = []
@@ -251,13 +252,37 @@ def load_table(
         ids.append(item_id)
         data.append(parsed)
 
+    return tuple(ids), tuple(names), np.asarray(data, dtype=float)
+
+
+def load_table(
+    path,
+    schema: Mapping[str, Orientation | str],
+    provenance: str | None = None,
+) -> IndicatorTable:
+    """Load ``id,<ind1>,...,<indD>`` CSV rows against an orientation schema.
+
+    Raises MissingCell / NonNumericCell / ConstantColumn / UnknownIndicator
+    naming the offending row or column.
+    """
+    schema = {
+        k: v if isinstance(v, Orientation) else Orientation.parse(v)
+        for k, v in schema.items()
+    }
+    ids, names, values = _read_csv(path, schema)
     return IndicatorTable(
-        item_ids=tuple(ids),
-        indicator_names=tuple(names),
+        item_ids=ids,
+        indicator_names=names,
         orientations=tuple(schema[name] for name in names),
-        values=np.asarray(data, dtype=float),
+        values=values,
         provenance=provenance,
     )
+
+
+def load_rows(path, names) -> ScoringRows:
+    """Load CSV rows to score, checked as by :func:`load_table` except for
+    the fit-time invariants; the header must hold exactly ``names``."""
+    return ScoringRows(*_read_csv(path, set(names)))
 
 
 def normalize(table: IndicatorTable) -> NormalizedTable:

@@ -34,6 +34,11 @@ class SchemaError(LoadError):
     or misnamed header fields, wrong field count)."""
 
 
+class BadCurveFile(LoadError):
+    """A saved curve's transform has another dimension than its control
+    points, or some column with max <= min."""
+
+
 class DomainError(RankingError):
     """A curve parameter t lies outside [0, 1]."""
 

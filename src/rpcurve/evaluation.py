@@ -160,8 +160,7 @@ def rpc_pipeline(config: FitConfig | None = None) -> RankingPipeline:
 
     def _run(table: IndicatorTable) -> RankingResult:
         curve, _ = _fit(table)
-        return rank(table, curve, grid_size=cfg.grid_size,
-                    workers=cfg.workers)
+        return rank(table, curve, workers=cfg.workers)
 
     return RankingPipeline(
         name="rpc",

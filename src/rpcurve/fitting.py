@@ -35,16 +35,18 @@ from .data import (
     NormalizationTransform,
     NormalizedTable,
     Orientation,
+    ScoringRows,
     apply_transform,
     normalize,
 )
 from .errors import (
+    BadCurveFile,
     DegenerateParameterSpread,
     DomainError,
     TooFewItems,
     TransformMismatch,
 )
-from .projection import DEFAULT_GRID_SIZE, project_points, score_from_t
+from .projection import project_points, score_from_t
 
 DAMPING = 1e-12
 _MIN_T_SPREAD = 1e-12
@@ -56,7 +58,6 @@ class FitConfig:
 
     max_iters: int = 200
     rel_tol: float = 1e-8
-    grid_size: int = DEFAULT_GRID_SIZE
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -64,8 +65,6 @@ class FitConfig:
             raise DomainError("max_iters must be >= 1")
         if not (self.rel_tol > 0.0):
             raise DomainError("rel_tol must be positive")
-        if self.grid_size < 3:
-            raise DomainError("grid_size must be at least 3")
         if self.workers < 1:
             raise DomainError("workers must be >= 1")
 
@@ -237,9 +236,7 @@ def fit(
     converged = False
     prev = None
     for _ in range(config.max_iters):
-        ts, dist, _ = project_points(
-            curve, z, grid_size=config.grid_size, workers=config.workers
-        )
+        ts, dist, _ = project_points(curve, z, workers=config.workers)
         total = float(np.sum(dist * dist))
         distances.append(total)
         if prev is not None:
@@ -288,13 +285,13 @@ def fit_table(table: IndicatorTable, config: FitConfig | None = None):
 
 
 def rank(
-    table: IndicatorTable,
+    table: IndicatorTable | ScoringRows,
     curve: RankingCurve,
-    grid_size: int = DEFAULT_GRID_SIZE,
     workers: int = 1,
     method: str = "rpc",
 ) -> RankingResult:
-    """Score a table against a fitted curve using its stored transform."""
+    """Score rows against a fitted curve using its stored transform; a
+    row's score depends on that row alone, to the bit."""
     if curve.transform is None:
         raise TransformMismatch("curve carries no normalization transform")
     if curve.transform.indicator_names != table.indicator_names:
@@ -304,7 +301,7 @@ def rank(
             f"{table.indicator_names}"
         )
     z = apply_transform(table.values, curve.transform)
-    ts, _, _ = project_points(curve, z, grid_size=grid_size, workers=workers)
+    ts, _, _ = project_points(curve, z, workers=workers)
     scores = score_from_t(ts, curve.best_end)
     return make_ranking(table.item_ids, scores, method)
 
@@ -333,11 +330,19 @@ def save_fit(path, curve, report, ranking) -> None:
 
 
 def load_curve(path) -> RankingCurve:
-    """Read a curve (with its transform) back from a fit output file."""
+    """Read a curve (with its transform) back from a fit output file;
+    BadCurveFile if the transform does not fit the control points."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     transform = None
     if "transform" in payload:
         transform = NormalizationTransform.from_dict(payload["transform"])
     node = payload["curve"] if "curve" in payload else payload
-    return curve_from_dict(node, transform=transform)
+    curve = curve_from_dict(node, transform=transform)
+    if transform is not None:
+        sizes = {transform.dim, transform.mins.size, transform.maxs.size}
+        if sizes != {curve.dim}:
+            raise BadCurveFile(f"{path}: transform and curve dims differ")
+        if not np.all(transform.maxs > transform.mins):
+            raise BadCurveFile(f"{path}: transform has a max <= its min")
+    return curve

@@ -1,16 +1,36 @@
 """Orthogonal projection of points onto a ranking curve.
 
 For each point x the projector minimizes ||x - C(t)||^2 over t in [0, 1].
-The squared distance is a degree-6 polynomial in t with at most five
-stationary points, so the search is: sample a uniform grid (1025 points by
-default), collect candidate cells (grid-local minima of the distance plus
-descending sign changes of g(t) = <x - C(t), C'(t)>), refine each candidate
-with bisection-safeguarded Newton iterations on g, then compare every
-refined candidate against both endpoints.  Ties break toward smaller t.
+The minimizer is an endpoint or a root of the foot-point function
 
-All per-point work is elementwise, and multi-worker runs reassemble
-per-item results in input order, so outputs are bit-identical for any
-worker count.
+    g(t) = <x - C(t), C'(t)>.
+
+Write C(t) = P0 + D(t) with D(t) = a1 t + a2 t^2 + a3 t^3 (power basis)
+and y = x - P0.  Then g(t) = <y, C'(t)> - <D(t), D'(t)>: the second term
+is a degree-5 polynomial that depends on the curve alone, the first is of
+degree at most 2 with coefficients linear in y.  So each point's g is a
+quintic with leading coefficient -3 ||a3||^2, and its roots are the
+eigenvalues of a 5 x 5 companion matrix; all points' matrices go through
+one batched ``np.linalg.eigvals`` call.
+
+Degree drop: on a quadratic curve (a3 = 0) or a straight one (a2 = a3 = 0)
+the leading coefficients vanish, and g is solved at its true degree, the
+highest nonzero coefficient of <D, D'>: 3 for a quadratic, 1 for a line.
+Power-coefficient entries within rounding of the largest one count as
+zero, so a curve that is quadratic or straight up to rounding drops too.
+
+Candidates are t = 0, t = 1 and the real part of every root, complex ones
+included so that a nearly real pair is not lost, clipped to [0, 1].  Each
+root candidate is polished by two Newton steps on g; a step is kept only
+where it lowers |g|.  The squared distance is then evaluated at every
+candidate with the de Casteljau kernel and the smallest wins, ties going
+to the smaller t.  An endpoint result is ``clamped`` when g points out of
+[0, 1] there.
+
+All per-point work is elementwise (no matrix product whose kernel depends
+on the batch size), and multi-worker runs reassemble per-item results in
+input order, so a point's result is bit-identical whether it is projected
+alone, in any batch, or with any worker count.  Memory is O(n * d).
 """
 
 from __future__ import annotations
@@ -20,11 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bezier import BestEnd, RankingCurve
+from .bezier import BestEnd, RankingCurve, _casteljau, _power_coefficients
 from .errors import DomainError
-
-DEFAULT_GRID_SIZE = 1025
-_NEWTON_ROUNDS = 80
 
 
 @dataclass(frozen=True)
@@ -41,176 +58,91 @@ class ProjectionResult:
     clamped: bool
 
 
-def _bernstein3(ts: np.ndarray) -> np.ndarray:
-    s = 1.0 - ts
-    return np.stack([s**3, 3.0 * ts * s**2, 3.0 * ts**2 * s, ts**3], axis=-1)
+def _horner(coef: np.ndarray, t: np.ndarray):
+    """g(t) and g'(t) at t (n x m) from ascending coefficients (n x k+1)."""
+    g = np.zeros_like(t)
+    gp = np.zeros_like(t)
+    for c in coef.T[::-1]:
+        gp = gp * t + g
+        g = g * t + c[:, None]
+    return g, gp
 
 
-def _eval_many(pts: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """de Casteljau for a (k x d) control array at a batch of ts."""
-    tt = ts[..., None]
-    st = 1.0 - tt
-    # all points of one de Casteljau level at once: (k, *ts.shape, d)
-    level = pts.reshape((pts.shape[0],) + (1,) * np.ndim(ts) + pts.shape[1:])
-    while level.shape[0] > 1:
-        level = st * level[:-1] + tt * level[1:]
-    return level[0]
-
-
-def _eval_with_derivs(stack: np.ndarray, ts: np.ndarray):
-    """C(t), C'(t) and C''(t) for a batch of ts in one de Casteljau pass.
-
-    ``stack`` holds the 4 control points, the 3 hodograph points and the 2
-    second-hodograph points, one row each.  Rows that straddle two of the
-    groups give unused values; every used value takes the same arithmetic
-    as a separate de Casteljau run over its own group.
-    """
-    tt = ts[..., None]
-    st = 1.0 - tt
-    level = stack[:, None, :]
-    level = st * level[:-1] + tt * level[1:]  # curve 0-2, hodo 4-5, hodo2 7
-    ddc = level[7]
-    level = st * level[:6] + tt * level[1:7]  # curve 0-1, hodo 4
-    dc = level[4]
-    c = st * level[0] + tt * level[1]
-    return c, dc, ddc
-
-
-def _g_only(curve_pts, hodo, ts, xs):
-    c = _eval_many(curve_pts, ts)
-    dc = _eval_many(hodo, ts)
-    return np.sum((xs - c) * dc, axis=-1)
-
-
-def _project_batch(curve: RankingCurve, pts: np.ndarray, grid_size: int):
+def _project_batch(curve: RankingCurve, pts: np.ndarray):
     n, d = pts.shape
     cp = curve.control_points
+    a = _power_coefficients(cp - cp[0])  # a0 = 0
+    # an exact power-of-two scale brings the largest entry into [0.5, 1), so
+    # products neither underflow nor overflow; entries within rounding of it
+    # are zero, so a3 (and a2) of rounding noise drop the degree rather than
+    # put a leading coefficient of noise into the companion matrix
+    e = np.frexp(np.abs(a).max())[1]
+    a = np.ldexp(a, -e)
+    a[np.abs(a) < np.finfo(float).eps] = 0.0
+    da = a[1:] * np.array([[1.0], [2.0], [3.0]])  # C'(t), ascending
+    dd = sum(np.convolve(a[:, j], da[:, j]) for j in range(d))  # <D, D'>
+    deg = int(np.flatnonzero(dd)[-1])  # 5, or 3 / 1 after a degree drop
+
+    y = np.ldexp(pts - cp[0], -e)
+    coef = np.zeros((n, 6))
+    coef[:, :3] = np.sum(y[:, None, :] * da, axis=-1)
+    coef = (coef - dd)[:, :deg + 1]
+
+    companion = np.zeros((n, deg, deg))
+    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    companion[:, :, -1] = -coef[:, :deg] / coef[:, deg:]
+    t = np.clip(np.linalg.eigvals(companion).real, 0.0, 1.0)
+
+    g, gp = _horner(coef, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):  # Newton steps
+            tn = np.clip(t - g / gp, 0.0, 1.0)
+            gn, gpn = _horner(coef, tn)
+            keep = np.abs(gn) < np.abs(g)  # false on nan
+            t = np.where(keep, tn, t)
+            g = np.where(keep, gn, g)
+            gp = np.where(keep, gpn, gp)
+
+    # sorted candidates: argmin's first hit is the smallest tied t
+    cand = np.sort(np.concatenate([np.zeros((n, 1)), np.ones((n, 1)), t], 1))
+    diff = pts[:, None, :] - _casteljau(cp, cand)
+    d2 = np.sum(diff * diff, axis=-1)
+    best = np.argmin(d2, axis=1)
+    rows = np.arange(n)
+    t_best = cand[rows, best]
+
     hodo = 3.0 * np.diff(cp, axis=0)
-    hodo2 = 6.0 * (cp[2:] - 2.0 * cp[1:3] + cp[:2])
-
-    ts_grid = np.linspace(0.0, 1.0, grid_size)
-    grid_curve = _bernstein3(ts_grid) @ cp  # (m, d)
-    diff = pts[:, None, :] - grid_curve[None, :, :]
-    dist2 = np.einsum("nmd,nmd->nm", diff, diff)
-
-    # candidate cells: distance local minima on the grid
-    interior_min = (dist2[:, 1:-1] <= dist2[:, :-2]) & (
-        dist2[:, 1:-1] <= dist2[:, 2:]
-    )
-    # plus descending sign changes of g on the grid (catches minima whose
-    # basin is narrower than the distance stencil)
-    grid_dc = _eval_many(hodo, ts_grid)
-    g_grid = np.einsum("nmd,md->nm", diff, grid_dc)
-    g_cross = (g_grid[:, :-1] >= 0.0) & (g_grid[:, 1:] < 0.0)  # cell k..k+1
-    cell_mask = np.zeros((n, grid_size), dtype=bool)
-    cell_mask[:, 1:-1] = interior_min
-    cross_i, cross_k = np.nonzero(g_cross)
-    # center the crossing cell on its right grid point (bracket covers it)
-    kk = np.minimum(cross_k + 1, grid_size - 2)
-    cell_mask[cross_i, kk] = True
-
-    pair_i, pair_k = np.nonzero(cell_mask)
-    cand_i = [np.arange(n), np.arange(n)]
-    cand_t = [np.zeros(n), np.ones(n)]
-
-    if pair_i.size:
-        lo = ts_grid[pair_k - 1]
-        hi = ts_grid[pair_k + 1]
-        tc = ts_grid[pair_k]
-        xs = pts[pair_i]
-        glo = _g_only(cp, hodo, lo, xs)
-        ghi = _g_only(cp, hodo, hi, xs)
-        valid = (glo >= 0.0) & (ghi <= 0.0)
-        lo = np.where(valid, lo, tc)
-        hi = np.where(valid, hi, tc)
-        stack = np.concatenate([cp, hodo, hodo2])
-        c, dc, ddc = _eval_with_derivs(stack, tc)
-        keep = valid[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(_NEWTON_ROUNDS):
-                r = xs - c
-                g = np.sum(r * dc, axis=-1)
-                gp = -np.sum(dc * dc, axis=-1) + np.sum(r * ddc, axis=-1)
-                step = tc - g / gp
-                ok = np.isfinite(step) & (step > lo) & (step < hi)
-                tn = np.where(ok, step, 0.5 * (lo + hi))
-                cn, dcn, ddcn = _eval_with_derivs(stack, tn)
-                gn = np.sum((xs - cn) * dcn, axis=-1)
-                lo_n = np.where(gn > 0.0, tn, lo)
-                hi_n = np.where(gn <= 0.0, tn, hi)
-                tc_n = np.where(valid, tn, tc)
-                # a round is a pure function of (lo, hi, tc): once it maps
-                # the state to itself, the remaining rounds change nothing
-                done = (
-                    np.array_equal(lo_n, lo)
-                    and np.array_equal(hi_n, hi)
-                    and np.array_equal(tc_n, tc)
-                )
-                lo, hi, tc = lo_n, hi_n, tc_n
-                if done:
-                    break
-                # the next round needs C, C', C'' at the new tc
-                c = np.where(keep, cn, c)
-                dc = np.where(keep, dcn, dc)
-                ddc = np.where(keep, ddcn, ddc)
-        cand_i.append(pair_i)
-        cand_t.append(tc)
-
-    all_i = np.concatenate(cand_i)
-    all_t = np.concatenate(cand_t)
-    cand_pts = _eval_many(cp, all_t)
-    all_d2 = np.sum((pts[all_i] - cand_pts) ** 2, axis=-1)
-
-    # per point: smallest distance, ties toward smaller t
-    order = np.lexsort((all_t, all_d2, all_i))
-    ordered_i = all_i[order]
-    first = np.searchsorted(ordered_i, np.arange(n), side="left")
-    best = order[first]
-    t_best = all_t[best]
-    d2_best = all_d2[best]
-
-    g0 = _g_only(cp, hodo, np.zeros(n), pts)
-    g1 = _g_only(cp, hodo, np.ones(n), pts)
+    g0 = np.sum((pts - cp[0]) * hodo[0], axis=-1)
+    g1 = np.sum((pts - cp[3]) * hodo[2], axis=-1)
     clamped = ((t_best == 0.0) & (g0 < 0.0)) | ((t_best == 1.0) & (g1 > 0.0))
-    return t_best, np.sqrt(d2_best), clamped
+    return t_best, np.sqrt(d2[rows, best]), clamped
 
 
-def project_points(
-    curve: RankingCurve,
-    points: np.ndarray,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    workers: int = 1,
-):
+def project_points(curve: RankingCurve, points: np.ndarray, workers: int = 1):
     """Project many points; returns (t, distance, clamped) arrays."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != curve.dim:
         raise DomainError(
             f"points have dimension {pts.shape[1]}, curve has {curve.dim}"
         )
-    if grid_size < 3:
-        raise DomainError("grid_size must be at least 3")
     if not np.all(np.isfinite(pts)):
         raise DomainError("points must be finite")
     if workers <= 1 or pts.shape[0] < 2:
-        return _project_batch(curve, pts, grid_size)
+        return _project_batch(curve, pts)
     chunks = np.array_split(np.arange(pts.shape[0]), workers)
     chunks = [c for c in chunks if c.size]
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(
-            pool.map(lambda c: _project_batch(curve, pts[c], grid_size), chunks)
-        )
+        parts = list(pool.map(lambda c: _project_batch(curve, pts[c]), chunks))
     ts = np.concatenate([p[0] for p in parts])
     dist = np.concatenate([p[1] for p in parts])
     clamped = np.concatenate([p[2] for p in parts])
     return ts, dist, clamped
 
 
-def project_point(
-    curve: RankingCurve, x: np.ndarray, grid_size: int = DEFAULT_GRID_SIZE
-) -> ProjectionResult:
+def project_point(curve: RankingCurve, x: np.ndarray) -> ProjectionResult:
     """Project a single point onto the curve."""
-    ts, dist, clamped = project_points(curve, np.asarray(x, dtype=float)[None, :],
-                                       grid_size=grid_size)
+    pts = np.asarray(x, dtype=float)[None, :]
+    ts, dist, clamped = project_points(curve, pts)
     return ProjectionResult(
         t=float(ts[0]), distance=float(dist[0]), clamped=bool(clamped[0])
     )

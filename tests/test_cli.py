@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rpcurve
 from rpcurve.cli import (
     EXIT_CHECK_FAILED,
     EXIT_FIT_FAILURE,
@@ -127,6 +132,38 @@ class TestRank:
         assert code == EXIT_VALIDATION
 
 
+    def test_one_row_and_constant_columns_score_as_in_full_table(
+        self, tmp_path
+    ):
+        fitfile = tmp_path / "fit.json"
+        assert main([
+            "fit", "--data", str(bundled_data_path()),
+            "--schema", str(bundled_schema_path()), "--out", str(fitfile),
+        ]) == EXIT_OK
+
+        def scores(data):
+            out = tmp_path / (data.stem + ".out.csv")
+            code = main([
+                "rank", "--data", str(data), "--curve", str(fitfile),
+                "--out", str(out),
+            ])
+            assert code == EXIT_OK
+            with open(out, newline="") as fh:
+                return {r["id"]: r["score"] for r in csv.DictReader(fh)}
+
+        full = scores(Path(str(bundled_data_path())))
+        lines = Path(str(bundled_data_path())).read_text().splitlines()
+        row = {ln.split(",")[0]: ln for ln in lines[1:]}
+        # France and Spain share two of their four values
+        for name, ids in (("one", ["Turkey"]), ("equal", ["France", "Spain"])):
+            data = tmp_path / f"{name}.csv"
+            data.write_text(
+                "\n".join([lines[0]] + [row[i] for i in ids]) + "\n"
+            )
+            # the CSV holds repr(score): equal text is equal bits
+            assert scores(data) == {i: full[i] for i in ids}
+
+
 class TestCheck:
     def test_arithmetic_fails_audit(self, workdir, capsys):
         code = main([
@@ -217,3 +254,18 @@ class TestPlotdata:
             assert kinds == {"data", "curve"}
             assert sum(r["series"] == "curve" for r in rows) == 201
             assert sum(r["series"] == "data" for r in rows) == 26
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy costs about a second to import; only ``compare`` needs it
+    src = str(Path(rpcurve.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rpcurve.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "False"

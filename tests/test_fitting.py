@@ -6,7 +6,7 @@ import scipy.stats
 
 from rpcurve.bezier import BestEnd, Monotonicity, evaluate
 from rpcurve.data import Orientation, normalize
-from rpcurve.errors import TooFewItems, TransformMismatch
+from rpcurve.errors import BadCurveFile, TooFewItems, TransformMismatch
 from rpcurve.fitting import (
     FitConfig,
     assign_orders,
@@ -39,7 +39,6 @@ class TestFitConfig:
         c = FitConfig()
         assert c.max_iters == 200
         assert c.rel_tol == 1e-8
-        assert c.grid_size == 1025
         assert c.workers == 1
 
     def test_validation(self):
@@ -47,8 +46,6 @@ class TestFitConfig:
             FitConfig(max_iters=0)
         with pytest.raises(Exception):
             FitConfig(rel_tol=-1.0)
-        with pytest.raises(Exception):
-            FitConfig(grid_size=2)
 
 
 class TestAssignOrders:
@@ -221,6 +218,22 @@ class TestPersistence:
         )
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert "curve" in payload and "ranking" in payload
+
+    @pytest.mark.parametrize("field, value", [
+        ("mins", [0.0, 0.0]),  # two dimensions for a 3-d curve
+        ("maxs", [1.0, 0.0, 1.0]),  # max == min in one column
+    ])
+    def test_load_rejects_bad_transform(self, make_table, tmp_path,
+                                        field, value):
+        t = line_table(make_table, n=30, d=3, noise=0.05, seed=19)
+        curve, report = fit_table(t)
+        path = tmp_path / "fit.json"
+        save_fit(path, curve, report, rank(t, curve))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["transform"][field] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(BadCurveFile):
+            load_curve(path)
 
     def test_rank_with_loaded_curve(self, make_table, tmp_path):
         t = line_table(make_table, n=30, d=3, noise=0.05, seed=18)

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rpcurve.bezier import BestEnd, RankingCurve, evaluate
 from rpcurve.errors import DomainError
 from rpcurve.projection import (
-    DEFAULT_GRID_SIZE,
     project_point,
     project_points,
     score_from_t,
@@ -72,8 +74,6 @@ class TestProjectPoint:
             project_point(c, np.array([0.5, 0.5, 0.5]))
         with pytest.raises(DomainError):
             project_points(c, np.array([[np.inf, 0.0]]))
-        with pytest.raises(DomainError):
-            project_points(c, np.array([[0.5, 0.5]]), grid_size=2)
 
 
 class TestProjectPoints:
@@ -98,13 +98,97 @@ class TestProjectPoints:
             for a, b in zip(base, got):
                 np.testing.assert_array_equal(a, b)
 
-    def test_grid_size_refines(self):
-        rng = np.random.default_rng(7)
-        c = curve(rng.normal(size=(4, 2)))
-        xs = rng.normal(size=(20, 2))
-        _, d_coarse, _ = project_points(c, xs, grid_size=33)
-        _, d_fine, _ = project_points(c, xs, grid_size=DEFAULT_GRID_SIZE)
-        assert np.all(d_fine <= d_coarse + 1e-12)
+
+# ---------------------------------------------------------------- properties
+
+PROPERTY = settings(max_examples=40, deadline=None)
+DENSE_SLACK = 1e-12
+
+
+def coords(shape, exact=False):
+    """Arrays of coordinates in [-3, 3]; ``exact`` draws multiples of 3/4,
+    so that the degree-elevated and equally spaced constructions below are
+    exact and the foot-point quintic really drops degree."""
+    if exact:
+        return arrays(np.int64, shape, elements=st.integers(-4, 4)).map(
+            lambda a: 0.75 * a)
+    return arrays(float, shape, elements=st.floats(
+        -3.0, 3.0, allow_subnormal=False))
+
+
+@st.composite
+def random_curves(draw, kind="cubic"):
+    d = draw(st.integers(1, 5))
+    exact = draw(st.booleans()) if kind != "cubic" else False
+    if kind == "cubic":
+        P = draw(coords((4, d)))
+    elif kind == "quadratic":
+        Q = draw(coords((3, d), exact))
+        inner = [(Q[0] + 2 * Q[1]) / 3, (2 * Q[1] + Q[2]) / 3]
+        P = np.stack([Q[0], *inner, Q[2]])
+    elif kind == "line":
+        ends = draw(coords((2, d), exact))
+        step = (ends[1] - ends[0]) / 3
+        P = np.stack([ends[0], ends[0] + step, ends[0] + 2 * step, ends[1]])
+    else:  # coincident inner points
+        Q = draw(coords((3, d), exact))
+        P = np.stack([Q[0], Q[1], Q[1], Q[2]])
+    assume(not np.array_equal(P[0], P[3]))
+    xs = draw(coords((6, d)))
+    return curve(P), xs
+
+
+def assert_not_worse_than_dense(c, xs):
+    ts, dist, _ = project_points(c, xs)
+    grid = evaluate(c, np.linspace(0.0, 1.0, 200001))
+    for x, t, r in zip(xs, ts, dist):
+        dense = float(((grid - x) ** 2).sum(axis=1).min())
+        assert r**2 <= dense + DENSE_SLACK
+        assert abs(((evaluate(c, t) - x) ** 2).sum() - r**2) < 1e-9
+
+
+class TestProjectionProperties:
+    @PROPERTY
+    @given(random_curves())
+    def test_never_worse_than_dense_grid(self, case):
+        assert_not_worse_than_dense(*case)
+
+    @PROPERTY
+    @given(st.sampled_from(["quadratic", "line", "coincident"]).flatmap(
+        random_curves))
+    # quadratics whose a3 is rounding noise 1e-150 times the size of a2
+    @example((curve([[2.71065330e-151, 1.0], [9.03551101e-152, 1 / 3],
+                     [0.0, 0.0], [0.0, 0.0]]), np.zeros((6, 2))))
+    @example((curve([[1.03096590e-137, 2.0], [3.43655299e-138, 2 / 3],
+                     [0.0, 0.0], [0.0, 0.0]]), np.ones((6, 2))))
+    def test_degree_drop_never_worse_than_dense_grid(self, case):
+        assert_not_worse_than_dense(*case)
+
+    @PROPERTY
+    @given(random_curves(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_batch_equals_loop_and_workers(self, case, n, seed):
+        c, _ = case
+        xs = np.random.default_rng(seed).normal(scale=2.0, size=(n, c.dim))
+        base = project_points(c, xs)
+        for i in range(n):
+            r = project_point(c, xs[i])
+            assert (base[0][i], base[1][i], base[2][i]) == (
+                r.t, r.distance, r.clamped)
+        for w in (2, 8):
+            for a, b in zip(base, project_points(c, xs, workers=w)):
+                np.testing.assert_array_equal(a, b)
+
+    @PROPERTY
+    @given(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.floats(1.01, 3.0))
+    def test_tie_between_ends_goes_to_smaller_t(self, w, h, k):
+        # the arch x(t) = w (2t - 1), y(t) = 3 h t (1 - t) seen from (0, -s):
+        # with u = t (1 - t), d^2 = w^2 + s^2 + u (6 h s - 4 w^2) + 9 h^2 u^2,
+        # so both ends are the nearest points, at exactly equal distances,
+        # once s > 2 w^2 / (3 h)
+        arch = curve([[-w, 0.0], [-w / 3, h], [w / 3, h], [w, 0.0]])
+        s = k * 2 * w * w / (3 * h)
+        r = project_point(arch, np.array([0.0, -s]))
+        assert r.t == 0.0 and r.clamped
 
 
 class TestScore:
