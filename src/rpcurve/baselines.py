@@ -30,7 +30,7 @@ from importlib import resources
 
 import numpy as np
 
-from .data import IndicatorTable, Orientation, normalize
+from .data import IndicatorTable, negative_mask, normalize
 from .errors import (
     BadWeights,
     DegenerateEntropy,
@@ -40,9 +40,9 @@ from .errors import (
 )
 from .fitting import (
     RankingResult,
+    best_end_first,
     first_principal_axis,
     make_ranking,
-    oriented_mean,
 )
 
 DEFAULT_EPSILON = 1e-9
@@ -50,10 +50,7 @@ DEFAULT_EPSILON = 1e-9
 
 def _oriented_normalized(table: IndicatorTable) -> np.ndarray:
     z = normalize(table).values
-    flips = np.array(
-        [o is Orientation.NEGATIVE for o in table.orientations], dtype=bool
-    )
-    return np.where(flips, 1.0 - z, z)
+    return np.where(negative_mask(table.orientations), 1.0 - z, z)
 
 
 def _check_weights(weights, d: int) -> np.ndarray:
@@ -80,10 +77,9 @@ def arithmetic_mean_rank(
         vals = _oriented_normalized(table)
         method = "arithmetic-norm"
     elif variant == "raw":
-        flips = np.array(
-            [o is Orientation.NEGATIVE for o in table.orientations]
+        vals = np.where(
+            negative_mask(table.orientations), -table.values, table.values
         )
-        vals = np.where(flips, -table.values, table.values)
         method = "arithmetic"
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -117,10 +113,7 @@ def geometric_mean_rank(
                 f"{table.item_ids[i]!r}, indicator "
                 f"{table.indicator_names[j]!r} is {vals[i, j]}"
             )
-        flips = np.array(
-            [o is Orientation.NEGATIVE for o in table.orientations]
-        )
-        vals = np.where(flips, 1.0 / vals, vals)
+        vals = np.where(negative_mask(table.orientations), 1.0 / vals, vals)
         method = "geometric-raw"
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -148,9 +141,7 @@ def pca_rank(table: IndicatorTable) -> RankingResult:
     a = center + smin * v
     b = center + smax * v
     scores = (proj - smin) / (smax - smin)
-    ma = oriented_mean(a, table.orientations)
-    mb = oriented_mean(b, table.orientations)
-    if ma > mb or (ma == mb and a[0] > b[0]):
+    if best_end_first(a, b, table.orientations):
         scores = 1.0 - scores
     return make_ranking(table.item_ids, scores, "pca")
 

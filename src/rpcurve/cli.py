@@ -163,7 +163,7 @@ def cmd_compare(args) -> int:
             reference = baselines.elmap_reference_scores()
             continue
         pipeline = _pipeline_for(token, config)
-        results.append(pipeline.run(table))
+        results.append(pipeline.run(table)[0])
     if not results:
         raise RankingError("need at least one computable method")
     comparison = baselines.compare(results, reference=reference)

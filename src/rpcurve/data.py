@@ -40,6 +40,13 @@ class Orientation(enum.Enum):
             ) from None
 
 
+def negative_mask(orientations) -> np.ndarray:
+    """Boolean mask of the negatively oriented dimensions."""
+    return np.array(
+        [o is Orientation.NEGATIVE for o in orientations], dtype=bool
+    )
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)

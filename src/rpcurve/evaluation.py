@@ -15,6 +15,13 @@ Eight criteria are checked for any ranking pipeline over a given table:
   Reproducibility        re-running the pipeline is bit-identical
   OpenDataDeclared       the evaluated dataset declares its provenance
 
+An audit with T trials makes 2T + 3 pipeline runs: one base run on the
+input table, shared by every criterion that needs its orders, scores or
+curve; T perturbed runs for each invariance criterion; one run on the
+collinear table (curve methods only); and one rerun for Reproducibility,
+whose comparison NoFreeParameters also reports.  A failed base run is the
+``pipeline error`` Fail of every criterion but OpenDataDeclared.
+
 Perturbation trials use fixed, documented sequences (nothing random):
 scaling trial 0 rescales dimension 0 alone by 6.8 and later trials rotate
 (0.5, 2, 6.8, 1000) across all dimensions; translation trial 0 shifts
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,10 +55,11 @@ from .bezier import (
 )
 from .data import IndicatorTable, Orientation
 from .errors import PipelineFailure, RankingError
-from .fitting import FitConfig, FitReport, RankingResult, fit_table, rank
+from .fitting import FitConfig, RankingResult, fit_table, rank
 
 SCALE_FACTORS = (0.5, 2.0, 6.8, 1000.0)
 SHIFT_AMOUNTS = (100.0, 10.0, -0.5, 3.75)
+_NO_CURVE = "method produces no evaluation curve"
 
 
 class Criterion(enum.Enum):
@@ -134,47 +142,50 @@ class MetaCriteriaReport:
         return "\n".join(lines)
 
 
+class PipelineRun(NamedTuple):
+    """What one pipeline run returns: its ranking and, for curve methods,
+    the fitted curve (None for score-table baselines).  ``orders`` is
+    shorthand for ``ranking.orders``."""
+
+    ranking: RankingResult
+    curve: RankingCurve | None = None
+
+    @property
+    def orders(self) -> np.ndarray:
+        return self.ranking.orders
+
+
 @dataclass(frozen=True)
 class RankingPipeline:
     """A deterministic ranking method under audit.
 
-    ``run`` maps a table to a RankingResult.  Curve-based methods also
-    expose ``fit_curve`` (table -> (curve, report)) and a parameter count
-    as a function of the dimension; methods with user-tunable knobs list
-    them in ``declared_free_parameters``.
+    ``run`` maps a table to ``(RankingResult, RankingCurve | None)``;
+    methods with user-tunable knobs list them in
+    ``declared_free_parameters``.
     """
 
     name: str
-    run: Callable[[IndicatorTable], RankingResult]
-    fit_curve: Callable[[IndicatorTable], tuple[RankingCurve, FitReport]] | None = None
-    parameter_count: Callable[[int], int] | None = None
+    run: Callable[[IndicatorTable], PipelineRun]
     declared_free_parameters: tuple[str, ...] = ()
-    provenance: str | None = None
 
 
 def rpc_pipeline(config: FitConfig | None = None) -> RankingPipeline:
     cfg = config or FitConfig()
 
-    def _fit(table: IndicatorTable):
-        return fit_table(table, cfg)
+    def _run(table: IndicatorTable) -> PipelineRun:
+        curve, _ = fit_table(table, cfg)
+        return PipelineRun(rank(table, curve, workers=cfg.workers), curve)
 
-    def _run(table: IndicatorTable) -> RankingResult:
-        curve, _ = _fit(table)
-        return rank(table, curve, workers=cfg.workers)
-
-    return RankingPipeline(
-        name="rpc",
-        run=_run,
-        fit_curve=_fit,
-        parameter_count=lambda d: 4 * d,
-    )
+    return RankingPipeline(name="rpc", run=_run)
 
 
 def arithmetic_pipeline(weights=None, variant: str = "raw") -> RankingPipeline:
     name = "arithmetic" if variant == "raw" else "arithmetic-norm"
     return RankingPipeline(
         name=name,
-        run=lambda table: arithmetic_mean_rank(table, weights, variant),
+        run=lambda table: PipelineRun(
+            arithmetic_mean_rank(table, weights, variant)
+        ),
         declared_free_parameters=("weights",) if weights is not None else (),
     )
 
@@ -183,16 +194,21 @@ def geometric_pipeline(variant: str = "normalized") -> RankingPipeline:
     name = "geometric" if variant == "normalized" else "geometric-raw"
     return RankingPipeline(
         name=name,
-        run=lambda table: geometric_mean_rank(table, variant),
+        run=lambda table: PipelineRun(geometric_mean_rank(table, variant)),
     )
 
 
 def pca_pipeline() -> RankingPipeline:
-    return RankingPipeline(name="pca", run=pca_rank)
+    return RankingPipeline(
+        name="pca", run=lambda table: PipelineRun(pca_rank(table))
+    )
 
 
 def entropy_pipeline() -> RankingPipeline:
-    return RankingPipeline(name="entropy", run=entropy_weight_rank)
+    return RankingPipeline(
+        name="entropy",
+        run=lambda table: PipelineRun(entropy_weight_rank(table)),
+    )
 
 
 def scale_vectors(d: int, trials: int):
@@ -226,7 +242,7 @@ def shift_vectors(d: int, trials: int):
 
 
 def _run_trial(pipeline: RankingPipeline, table: IndicatorTable,
-               label: str) -> RankingResult:
+               label: str) -> PipelineRun:
     try:
         return pipeline.run(table)
     except Exception as exc:  # noqa: BLE001 - context added, then re-raised
@@ -242,18 +258,25 @@ def _first_divergence(ids, base: np.ndarray, other: np.ndarray) -> str:
     return "tie structure changed"
 
 
+# criterion -> (witness kind, trial vectors, perturbation of the values)
+_INVARIANCES = {
+    Criterion.SCALE_INVARIANCE: ("scale", scale_vectors, np.multiply),
+    Criterion.TRANSLATION_INVARIANCE: ("shift", shift_vectors, np.add),
+}
+
+
 def _invariance_check(
     pipeline: RankingPipeline,
     table: IndicatorTable,
+    base: RankingResult,
     criterion: Criterion,
-    vectors,
-    perturb: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    kind: str,
+    trials: int,
 ) -> CriterionResult:
-    base = _run_trial(pipeline, table, f"{kind} base run")
+    kind, vector_sequence, perturb = _INVARIANCES[criterion]
+    vectors = vector_sequence(table.n_indicators, trials)
     for r, vec in enumerate(vectors):
         perturbed = table.with_values(perturb(table.values, vec))
-        res = _run_trial(pipeline, perturbed, f"{kind} trial {r}")
+        res = _run_trial(pipeline, perturbed, f"{kind} trial {r}").ranking
         if not np.array_equal(base.orders, res.orders):
             return CriterionResult(
                 criterion=criterion,
@@ -281,26 +304,18 @@ def _invariance_check(
 def check_scale_invariance(
     pipeline: RankingPipeline, table: IndicatorTable, trials: int = 4
 ) -> CriterionResult:
+    base = _run_trial(pipeline, table, "base run").ranking
     return _invariance_check(
-        pipeline,
-        table,
-        Criterion.SCALE_INVARIANCE,
-        scale_vectors(table.n_indicators, trials),
-        lambda values, vec: values * vec,
-        "scale",
+        pipeline, table, base, Criterion.SCALE_INVARIANCE, trials
     )
 
 
 def check_translation_invariance(
     pipeline: RankingPipeline, table: IndicatorTable, trials: int = 4
 ) -> CriterionResult:
+    base = _run_trial(pipeline, table, "base run").ranking
     return _invariance_check(
-        pipeline,
-        table,
-        Criterion.TRANSLATION_INVARIANCE,
-        shift_vectors(table.n_indicators, trials),
-        lambda values, vec: values + vec,
-        "shift",
+        pipeline, table, base, Criterion.TRANSLATION_INVARIANCE, trials
     )
 
 
@@ -371,14 +386,19 @@ def collinear_table(n: int = 50, d: int = 4) -> IndicatorTable:
 
 
 def check_linear_compatibility(
-    fit_curve: Callable[[IndicatorTable], tuple],
+    pipeline: RankingPipeline,
     residual_tol: float = 1e-6,
 ) -> CriterionResult:
-    """Fit noiseless collinear data; the curve must be straight (control
-    points within ``residual_tol`` of the endpoint chord, relatively) and
-    the induced order must equal the first-principal-component order."""
+    """Run the pipeline on noiseless collinear data; the curve must be
+    straight (control points within ``residual_tol`` of the endpoint chord,
+    relatively) and the run's order must equal the
+    first-principal-component order."""
     table = collinear_table()
-    curve, _ = fit_curve(table)
+    ranking, curve = _run_trial(pipeline, table, "linear-compatibility run")
+    if curve is None:
+        return CriterionResult(
+            Criterion.LINEAR_COMPATIBILITY, Verdict.NOT_APPLICABLE, _NO_CURVE
+        )
     pts = curve.control_points
     chord = pts[3] - pts[0]
     length = float(np.linalg.norm(chord))
@@ -389,7 +409,7 @@ def check_linear_compatibility(
         rel = pts[1:3] - pts[0]
         perp = rel - np.outer(rel @ u, u)
         residual = float(np.linalg.norm(perp, axis=1).max()) / length
-    curve_orders = rank(table, curve).orders
+    curve_orders = ranking.orders
     pca_orders = pca_rank(table).orders
     same_order = bool(np.array_equal(curve_orders, pca_orders))
     if residual <= residual_tol and same_order:
@@ -444,8 +464,14 @@ def check_smoothness(
     )
 
 
-def check_no_free_parameters(
-    pipeline: RankingPipeline, table: IndicatorTable
+def _run_bytes(run: PipelineRun) -> tuple:
+    """Scores, orders and any curve's control points, as bytes."""
+    curve = None if run.curve is None else run.curve.control_points.tobytes()
+    return run.ranking.scores.tobytes(), run.ranking.orders.tobytes(), curve
+
+
+def _no_free_parameters(
+    pipeline: RankingPipeline, base: PipelineRun, rerun: PipelineRun
 ) -> CriterionResult:
     if pipeline.declared_free_parameters:
         return CriterionResult(
@@ -461,39 +487,20 @@ def check_no_free_parameters(
                 )
             },
         )
-    first = _run_trial(pipeline, table, "free-parameter run 1")
-    second = _run_trial(pipeline, table, "free-parameter run 2")
-    identical = first.scores.tobytes() == second.scores.tobytes() and np.array_equal(
-        first.orders, second.orders
-    )
     notes = ["no declared user parameters"]
-    if pipeline.fit_curve is not None and pipeline.parameter_count is not None:
-        curve1, _ = pipeline.fit_curve(table)
-        curve2, _ = pipeline.fit_curve(table)
-        identical = identical and (
-            curve1.control_points.tobytes() == curve2.control_points.tobytes()
+    if base.curve is not None:
+        notes.append(
+            f"{base.curve.control_points.size} fitted parameters = "
+            f"4 x {base.curve.dim}"
         )
-        count = curve1.control_points.size
-        expected = pipeline.parameter_count(curve1.dim)
-        if count != expected:
-            return CriterionResult(
-                criterion=Criterion.NO_FREE_PARAMETERS,
-                verdict=Verdict.FAIL,
-                evidence=(
-                    f"parameter count {count} differs from the declared "
-                    f"function of dimension ({expected})"
-                ),
-                witness={"count": count, "expected": expected},
-            )
-        notes.append(f"{count} fitted parameters = 4 x {curve1.dim}")
-    if not identical:
+    if _run_bytes(base) != _run_bytes(rerun):
         return CriterionResult(
             criterion=Criterion.NO_FREE_PARAMETERS,
             verdict=Verdict.FAIL,
             evidence="repeated runs are not bit-identical",
             witness={
-                "orders_run1": first.orders.tolist(),
-                "orders_run2": second.orders.tolist(),
+                "orders_run1": base.orders.tolist(),
+                "orders_run2": rerun.orders.tolist(),
             },
         )
     notes.append("repeated runs bit-identical")
@@ -504,14 +511,16 @@ def check_no_free_parameters(
     )
 
 
-def check_reproducibility(
+def check_no_free_parameters(
     pipeline: RankingPipeline, table: IndicatorTable
 ) -> CriterionResult:
-    first = _run_trial(pipeline, table, "reproducibility run 1")
-    second = _run_trial(pipeline, table, "reproducibility run 2")
-    if first.scores.tobytes() == second.scores.tobytes() and np.array_equal(
-        first.orders, second.orders
-    ):
+    base = _run_trial(pipeline, table, "base run")
+    rerun = _run_trial(pipeline, table, "rerun")
+    return _no_free_parameters(pipeline, base, rerun)
+
+
+def _reproducibility(base: PipelineRun, rerun: PipelineRun) -> CriterionResult:
+    if _run_bytes(base) == _run_bytes(rerun):
         return CriterionResult(
             criterion=Criterion.REPRODUCIBILITY,
             verdict=Verdict.PASS,
@@ -522,21 +531,27 @@ def check_reproducibility(
         verdict=Verdict.FAIL,
         evidence="repeated runs differ",
         witness={
-            "orders_run1": first.orders.tolist(),
-            "orders_run2": second.orders.tolist(),
+            "orders_run1": base.orders.tolist(),
+            "orders_run2": rerun.orders.tolist(),
         },
     )
+
+
+def check_reproducibility(
+    pipeline: RankingPipeline, table: IndicatorTable
+) -> CriterionResult:
+    base = _run_trial(pipeline, table, "base run")
+    return _reproducibility(base, _run_trial(pipeline, table, "rerun"))
 
 
 def check_open_data(
     pipeline: RankingPipeline, table: IndicatorTable
 ) -> CriterionResult:
-    declared = table.provenance or pipeline.provenance
-    if declared:
+    if table.provenance:
         return CriterionResult(
             criterion=Criterion.OPEN_DATA_DECLARED,
             verdict=Verdict.PASS,
-            evidence=f"provenance declared: {declared[:80]}",
+            evidence=f"provenance declared: {table.provenance[:80]}",
         )
     return CriterionResult(
         criterion=Criterion.OPEN_DATA_DECLARED,
@@ -555,79 +570,61 @@ def _criterion_error(criterion: Criterion, exc: Exception) -> CriterionResult:
     )
 
 
+def _guarded(criterion: Criterion, check, *args) -> CriterionResult:
+    try:
+        return check(*args)
+    except PipelineFailure as exc:
+        return _criterion_error(criterion, exc)
+
+
 def audit(
     pipeline: RankingPipeline, table: IndicatorTable, trials: int = 4
 ) -> MetaCriteriaReport:
-    """Run all eight criteria; per-criterion failures never abort the audit."""
-    results: list[CriterionResult] = []
-
+    """Run all eight criteria on one shared base run; per-criterion
+    failures never abort the audit."""
     try:
-        results.append(check_scale_invariance(pipeline, table, trials))
+        base = _run_trial(pipeline, table, "base run")
     except PipelineFailure as exc:
-        results.append(_criterion_error(Criterion.SCALE_INVARIANCE, exc))
-    try:
-        results.append(check_translation_invariance(pipeline, table, trials))
-    except PipelineFailure as exc:
-        results.append(_criterion_error(Criterion.TRANSLATION_INVARIANCE, exc))
+        results = [_criterion_error(c, exc) for c in list(Criterion)[:-1]]
+        results.append(check_open_data(pipeline, table))
+        return MetaCriteriaReport(pipeline=pipeline.name, results=tuple(results))
 
-    fitted = None
-    fit_error: Exception | None = None
-    if pipeline.fit_curve is not None:
-        try:
-            fitted, _ = pipeline.fit_curve(table)
-        except Exception as exc:  # noqa: BLE001
-            fit_error = exc
-
-    if pipeline.fit_curve is None:
-        results.append(
-            CriterionResult(
+    results = [
+        _guarded(c, _invariance_check, pipeline, table, base.ranking, c, trials)
+        for c in _INVARIANCES
+    ]
+    if base.curve is None:
+        results += [
+            CriterionResult(c, Verdict.NOT_APPLICABLE, _NO_CURVE)
+            for c in (
                 Criterion.STRICT_MONOTONICITY,
-                Verdict.NOT_APPLICABLE,
-                "method produces no evaluation curve",
-            )
-        )
-        results.append(
-            CriterionResult(
                 Criterion.LINEAR_COMPATIBILITY,
-                Verdict.NOT_APPLICABLE,
-                "method produces no evaluation curve",
-            )
-        )
-        results.append(
-            CriterionResult(
                 Criterion.SMOOTHNESS,
-                Verdict.NOT_APPLICABLE,
-                "method produces no evaluation curve",
             )
-        )
+        ]
     else:
-        if fit_error is not None:
-            results.append(
-                _criterion_error(Criterion.STRICT_MONOTONICITY, fit_error)
-            )
-        else:
-            results.append(check_monotonicity(fitted, table.orientations))
-        try:
-            results.append(check_linear_compatibility(pipeline.fit_curve))
-        except Exception as exc:  # noqa: BLE001
-            results.append(
-                _criterion_error(Criterion.LINEAR_COMPATIBILITY, exc)
-            )
-        if fit_error is not None:
-            results.append(_criterion_error(Criterion.SMOOTHNESS, fit_error))
-        else:
-            results.append(check_smoothness(fitted))
-
+        results += [
+            check_monotonicity(base.curve, table.orientations),
+            _guarded(
+                Criterion.LINEAR_COMPATIBILITY,
+                check_linear_compatibility,
+                pipeline,
+            ),
+            check_smoothness(base.curve),
+        ]
     try:
-        results.append(check_no_free_parameters(pipeline, table))
+        rerun = _run_trial(pipeline, table, "rerun")
     except PipelineFailure as exc:
-        results.append(_criterion_error(Criterion.NO_FREE_PARAMETERS, exc))
-    try:
-        results.append(check_reproducibility(pipeline, table))
-    except PipelineFailure as exc:
-        results.append(_criterion_error(Criterion.REPRODUCIBILITY, exc))
+        results += [
+            _criterion_error(c, exc)
+            for c in (Criterion.NO_FREE_PARAMETERS, Criterion.REPRODUCIBILITY)
+        ]
+    else:
+        results += [
+            _no_free_parameters(pipeline, base, rerun),
+            _reproducibility(base, rerun),
+        ]
     results.append(check_open_data(pipeline, table))
-
     return MetaCriteriaReport(pipeline=pipeline.name, results=tuple(results))
 
 
@@ -641,15 +638,12 @@ def replay_witness(
     if result.witness is None or "vector" not in result.witness:
         return False
     vec = np.asarray(result.witness["vector"], dtype=float)
-    kind = result.witness["kind"]
-    if kind == "scale":
-        perturbed = table.with_values(table.values * vec)
-    elif kind == "shift":
-        perturbed = table.with_values(table.values + vec)
-    else:
+    perturbations = {kind: f for kind, _, f in _INVARIANCES.values()}
+    perturb = perturbations.get(result.witness["kind"])
+    if perturb is None:
         return False
-    base = pipeline.run(table)
-    res = pipeline.run(perturbed)
+    base = pipeline.run(table).ranking
+    res = pipeline.run(table.with_values(perturb(table.values, vec))).ranking
     return (
         base.orders.tolist() == result.witness["base_orders"]
         and res.orders.tolist() == result.witness["perturbed_orders"]

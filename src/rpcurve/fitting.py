@@ -34,9 +34,9 @@ from .data import (
     IndicatorTable,
     NormalizationTransform,
     NormalizedTable,
-    Orientation,
     ScoringRows,
     apply_transform,
+    negative_mask,
     normalize,
 )
 from .errors import (
@@ -156,10 +156,16 @@ def make_ranking(item_ids, scores, method: str) -> RankingResult:
 def oriented_mean(point: np.ndarray, orientations) -> float:
     """Mean coordinate after flipping negative dimensions (1 - value)."""
     p = np.asarray(point, dtype=float)
-    flips = np.array(
-        [o is Orientation.NEGATIVE for o in orientations], dtype=bool
-    )
-    return float(np.mean(np.where(flips, 1.0 - p, p)))
+    return float(np.mean(np.where(negative_mask(orientations), 1.0 - p, p)))
+
+
+def best_end_first(start: np.ndarray, end: np.ndarray, orientations) -> bool:
+    """True when ``start`` is the better end and the pair must be reversed
+    to put the best end last: the end with the larger mean oriented
+    coordinate is better; on an exact tie the larger first coordinate is."""
+    ms = oriented_mean(start, orientations)
+    me = oriented_mean(end, orientations)
+    return ms > me or (ms == me and start[0] > end[0])
 
 
 def first_principal_axis(values: np.ndarray) -> np.ndarray:
@@ -182,8 +188,7 @@ def init_curve(
 
     The segment between the two extreme projections is degree-elevated to a
     cubic (interior points at 1/3 and 2/3 of the chord) and oriented so the
-    end with the larger mean oriented coordinate sits at t=1; on an exact
-    tie the end with the larger first coordinate wins.
+    better end (see :func:`best_end_first`) sits at t=1.
     """
     if orientations is None:
         orientations = data.orientations
@@ -195,8 +200,7 @@ def init_curve(
     proj = (z - center) @ v
     a = center + proj.min() * v
     b = center + proj.max() * v
-    ma, mb = oriented_mean(a, orientations), oriented_mean(b, orientations)
-    if ma > mb or (ma == mb and a[0] > b[0]):
+    if best_end_first(a, b, orientations):
         a, b = b, a
     p0, p3 = a, b
     p1 = p0 + (p3 - p0) / 3.0
@@ -260,9 +264,7 @@ def fit(
         )
 
     pts = curve.control_points
-    m0 = oriented_mean(pts[0], orientations)
-    m1 = oriented_mean(pts[3], orientations)
-    if m1 < m0 or (m1 == m0 and pts[3][0] < pts[0][0]):
+    if best_end_first(pts[0], pts[3], orientations):
         curve = RankingCurve(
             control_points=pts[::-1].copy(),
             best_end=BestEnd.AT_T1,

@@ -1,11 +1,15 @@
 """Meta-criteria audit machinery on small synthetic tables."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from rpcurve import evaluation
 from rpcurve.data import IndicatorTable, Orientation
 from rpcurve.evaluation import (
     Criterion,
+    RankingPipeline,
     Verdict,
     arithmetic_pipeline,
     audit,
@@ -115,7 +119,7 @@ class TestMonotonicityCheck:
     def test_collinear_fit_is_monotone(self):
         tab = collinear_table()
         pipe = rpc_pipeline()
-        curve, _ = pipe.fit_curve(tab)
+        curve = pipe.run(tab)[1]
         res = check_monotonicity(curve, tab.orientations)
         assert res.verdict is Verdict.PASS
 
@@ -133,14 +137,14 @@ class TestLinearCompatibility:
             np.testing.assert_allclose(z[:, j], z[:, 0], atol=1e-12)
 
     def test_rpc_passes(self):
-        res = check_linear_compatibility(rpc_pipeline().fit_curve)
+        res = check_linear_compatibility(rpc_pipeline())
         assert res.verdict is Verdict.PASS
 
 
 class TestSmoothness:
     def test_rpc_curve_smooth(self, noisy_table):
         pipe = rpc_pipeline()
-        curve, _ = pipe.fit_curve(noisy_table)
+        curve = pipe.run(noisy_table)[1]
         res = check_smoothness(curve)
         assert res.verdict is Verdict.PASS
 
@@ -198,6 +202,72 @@ class TestAudit:
         text = report.render_text()
         for c in Criterion:
             assert c.value in text
+
+
+class TestAuditRuns:
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_rpc_audit_makes_two_t_plus_three_runs(
+        self, noisy_table, trials, monkeypatch
+    ):
+        """One shared base run, T perturbed runs per invariance criterion,
+        the collinear fit and one Reproducibility rerun; every run one fit."""
+        fits, runs = [], []
+        fit_table = evaluation.fit_table
+
+        def counted_fit(table, config):
+            fits.append(table)
+            return fit_table(table, config)
+
+        monkeypatch.setattr(evaluation, "fit_table", counted_fit)
+        pipe = rpc_pipeline()
+
+        def counted_run(table):
+            runs.append(table)
+            return pipe.run(table)
+
+        counted = dataclasses.replace(pipe, run=counted_run)
+        report = audit(counted, noisy_table, trials=trials)
+        assert report.all_applicable_pass
+        assert len(runs) == 2 * trials + 3
+        assert len(fits) == 2 * trials + 3
+
+    def test_failed_base_run_fails_every_run_dependent_criterion(
+        self, noisy_table
+    ):
+        def broken(table):
+            raise ValueError("no ranking today")
+
+        report = audit(RankingPipeline("broken", broken), noisy_table, trials=2)
+        assert [r.criterion for r in report.results] == list(Criterion)
+        for r in report.results[:-1]:
+            assert r.verdict is Verdict.FAIL, r.criterion
+            assert r.evidence.startswith("pipeline error:"), r.criterion
+            assert "no ranking today" in r.evidence
+        open_data = report.get(Criterion.OPEN_DATA_DECLARED)
+        assert open_data.verdict is Verdict.PASS
+        assert noisy_table.provenance in open_data.evidence
+
+    def test_failed_rerun_fails_only_the_rerun_criteria(self, noisy_table):
+        pipe = pca_pipeline()
+        runs = []
+
+        def flaky(table):
+            runs.append(table)
+            if len(runs) == 4:  # base, one scale, one shift, then the rerun
+                raise ValueError("second run broke")
+            return pipe.run(table)
+
+        report = audit(RankingPipeline("flaky", flaky), noisy_table, trials=1)
+        rerun_criteria = {
+            Criterion.NO_FREE_PARAMETERS,
+            Criterion.REPRODUCIBILITY,
+        }
+        for r in report.results:
+            if r.criterion in rerun_criteria:
+                assert r.verdict is Verdict.FAIL
+                assert r.evidence.startswith("pipeline error:")
+            else:
+                assert not r.evidence.startswith("pipeline error:")
 
 
 class TestNamedTables:
