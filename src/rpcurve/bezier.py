@@ -7,10 +7,10 @@ A ranking curve is a d-dimensional cubic Bezier segment,
 with exactly four control points, evaluated through the recursive
 de Casteljau construction.  One end of the parameter interval is tagged as
 the "best" end; projection parameters are turned into scores against that
-tag.  The diagnostics below (monotonicity, nonlinearity index, shape class)
-are all closed-form: the derivative of each coordinate is a quadratic in t
-and the chord deviation is a low-degree polynomial, so no sampling is
-needed for exact verdicts.
+tag.  The diagnostics below (monotonicity, speed extremes, nonlinearity
+index, shape class) are all closed-form: the derivative of each coordinate
+is a quadratic in t, and the squared speed and the chord deviation are
+low-degree polynomials, so no sampling is needed for exact verdicts.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .data import NormalizationTransform
+from .data import NormalizationTransform, denormalize_point
 from .errors import (
     DegenerateChord,
     DegenerateCurve,
@@ -186,6 +186,35 @@ def _power_coefficients(points: np.ndarray) -> np.ndarray:
     )
 
 
+def _critical_points(coeffs: np.ndarray) -> np.ndarray:
+    """Where the power-basis polynomial ``coeffs`` can take its extremes
+    over [0, 1]: t = 0, t = 1 and the real part of every root of its
+    derivative, clipped to [0, 1].  No root is filtered out: an extra
+    point of [0, 1] cannot overshoot the maximum or the minimum."""
+    roots = npoly.polyroots(npoly.polyder(coeffs))
+    return np.concatenate(([0.0, 1.0], np.clip(roots.real, 0.0, 1.0)))
+
+
+def speed_extremes(curve: RankingCurve) -> tuple[float, float, float]:
+    """(t*, |C'(t*)|, max |C'|) over [0, 1], with t* the slowest point.
+
+    The extremes of the quartic |C'|^2 sit at its critical points.  A zero
+    of C' is also a root of every coordinate's C'_j, found there to full
+    precision even where it is a multiple root of the quartic's derivative
+    (a stopping point on a straight curve).  Speeds come from de Casteljau.
+    """
+    coeffs = _power_coefficients(curve.control_points)
+    hodograph = npoly.polyder(coeffs)
+    speed_sq = sum(np.convolve(col, col) for col in hodograph.T)
+    ts = np.concatenate(
+        [_critical_points(speed_sq)]
+        + [_critical_points(col) for col in coeffs.T]
+    )
+    speeds = np.linalg.norm(derivative(curve, ts), axis=1)
+    k = int(np.argmin(speeds))
+    return float(ts[k]), float(speeds[k]), float(speeds.max())
+
+
 def nonlinearity_index(curve: RankingCurve) -> float:
     """Peak orthogonal deviation from the P0-P3 chord over chord length.
 
@@ -203,24 +232,12 @@ def nonlinearity_index(curve: RankingCurve) -> float:
     rel = pts - pts[0]
     coeffs = _power_coefficients(rel)  # cubic coefficients of C(t) - P0
     perp = coeffs - np.outer(coeffs @ u, u)
-    sq = np.zeros(7)
-    for j in range(perp.shape[1]):
-        sq += np.convolve(perp[:, j], perp[:, j])
-    deriv = npoly.polyder(sq)
-    candidates = [0.0, 1.0]
-    if np.any(deriv != 0.0):
-        roots = npoly.polyroots(deriv)
-        for r in roots:
-            if abs(r.imag) < 1e-9 and 0.0 <= r.real <= 1.0:
-                candidates.append(float(r.real))
-    peak = max(float(npoly.polyval(t, sq)) for t in candidates)
+    sq = sum(np.convolve(col, col) for col in perp.T)
+    peak = float(npoly.polyval(_critical_points(sq), sq).max())
     return math.sqrt(max(peak, 0.0)) / length
 
 
-def classify_shape(
-    curve: RankingCurve, dim_x: int, dim_y: int,
-    linear_tol: float = LINEAR_SHAPE_TOL,
-) -> ShapeClass:
+def classify_shape(curve: RankingCurve, dim_x: int, dim_y: int) -> ShapeClass:
     """Classify the (dim_x, dim_y) profile as one of the five shapes.
 
     Both dimensions must be strictly monotone.  The curve restricted to the
@@ -229,7 +246,7 @@ def classify_shape(
     cross products of the interior control points against the chord.
     Convention: single-signed deviation above the chord is C, below is
     ReverseC; below-then-above (sigmoid-like) is S, above-then-below is
-    ReverseS; deviation within ``linear_tol`` of the chord length is
+    ReverseS; deviation within ``LINEAR_SHAPE_TOL`` of the chord length is
     Linear.
     """
     mx = is_monotone(curve, dim_x)
@@ -256,17 +273,11 @@ def classify_shape(
     # max |3 t (1-t) ((1-t) c1 + t c2)| over [0, 1], exact via the quadratic
     # roots of the cubic's derivative
     cubic = np.array([0.0, 3.0 * c1, 3.0 * (c2 - 2.0 * c1), 3.0 * (c1 - c2)])
-    deriv = npoly.polyder(cubic)
-    candidates = [0.0, 1.0]
-    if np.any(deriv != 0.0):
-        for r in npoly.polyroots(deriv):
-            if abs(r.imag) < 1e-9 and 0.0 <= r.real <= 1.0:
-                candidates.append(float(r.real))
-    peak = max(abs(float(npoly.polyval(t, cubic))) for t in candidates)
-    if peak / length_sq <= linear_tol:
+    peak = float(np.abs(npoly.polyval(_critical_points(cubic), cubic)).max())
+    if peak / length_sq <= LINEAR_SHAPE_TOL:
         return ShapeClass.LINEAR
 
-    zero_tol = linear_tol * length_sq
+    zero_tol = LINEAR_SHAPE_TOL * length_sq
     s1 = 0 if abs(c1) <= zero_tol else (1 if c1 > 0 else -1)
     s2 = 0 if abs(c2) <= zero_tol else (1 if c2 > 0 else -1)
     if s1 >= 0 and s2 >= 0:
@@ -286,10 +297,9 @@ def curve_to_dict(curve: RankingCurve) -> dict:
         "best_end": curve.best_end.value,
     }
     if curve.transform is not None:
-        raw = curve.transform.mins + curve.control_points * (
-            curve.transform.maxs - curve.transform.mins
-        )
-        out["control_points_raw"] = raw.tolist()
+        out["control_points_raw"] = denormalize_point(
+            curve.control_points, curve.transform
+        ).tolist()
     return out
 
 

@@ -36,41 +36,33 @@ from .errors import (
     TooFewItems,
     TransformMismatch,
 )
-from .fitting import FitConfig, fit_table, load_curve, rank, save_fit
+from .fitting import fit_table, load_curve, rank, save_fit
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_FIT_FAILURE = 3
 
-PIPELINE_TOKENS = (
-    "rpc",
-    "arithmetic",
-    "arithmetic-norm",
-    "geometric",
-    "geometric-raw",
-    "pca",
-    "entropy",
-)
+# method token -> pipeline factory, in the order the help text lists them
+_PIPELINES = {
+    "rpc": evaluation.rpc_pipeline,
+    "arithmetic": lambda: evaluation.arithmetic_pipeline(variant="raw"),
+    "arithmetic-norm": lambda: evaluation.arithmetic_pipeline(
+        variant="normalized"
+    ),
+    "geometric": lambda: evaluation.geometric_pipeline(variant="normalized"),
+    "geometric-raw": lambda: evaluation.geometric_pipeline(variant="raw"),
+    "pca": evaluation.pca_pipeline,
+    "entropy": evaluation.entropy_pipeline,
+}
+PIPELINE_TOKENS = tuple(_PIPELINES)
 REFERENCE_TOKEN = "elmap-reference"
 
 
-def _pipeline_for(token: str, config: FitConfig) -> evaluation.RankingPipeline:
-    if token == "rpc":
-        return evaluation.rpc_pipeline(config)
-    if token == "arithmetic":
-        return evaluation.arithmetic_pipeline(variant="raw")
-    if token == "arithmetic-norm":
-        return evaluation.arithmetic_pipeline(variant="normalized")
-    if token == "geometric":
-        return evaluation.geometric_pipeline(variant="normalized")
-    if token == "geometric-raw":
-        return evaluation.geometric_pipeline(variant="raw")
-    if token == "pca":
-        return evaluation.pca_pipeline()
-    if token == "entropy":
-        return evaluation.entropy_pipeline()
-    raise RankingError(f"unknown method {token!r}")
+def _pipeline_for(token: str) -> evaluation.RankingPipeline:
+    if token not in _PIPELINES:
+        raise RankingError(f"unknown method {token!r}")
+    return _PIPELINES[token]()
 
 
 def _load_inputs(data_path: str, schema_path: str) -> IndicatorTable:
@@ -90,8 +82,7 @@ def _load_inputs(data_path: str, schema_path: str) -> IndicatorTable:
 
 def cmd_fit(args) -> int:
     table = _load_inputs(args.data, args.schema)
-    config = FitConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
-    curve, report = fit_table(table, config)
+    curve, report = fit_table(table)
     ranking = rank(table, curve)
     save_fit(args.out, curve, report, ranking)
     print(
@@ -143,8 +134,7 @@ def cmd_rank(args) -> int:
 
 def cmd_check(args) -> int:
     table = _load_inputs(args.data, args.schema)
-    config = FitConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
-    pipeline = _pipeline_for(args.method, config)
+    pipeline = _pipeline_for(args.method)
     report = evaluation.audit(pipeline, table)
     print(report.render_text())
     return EXIT_OK if report.all_applicable_pass else EXIT_CHECK_FAILED
@@ -152,7 +142,6 @@ def cmd_check(args) -> int:
 
 def cmd_compare(args) -> int:
     table = _load_inputs(args.data, args.schema)
-    config = FitConfig(max_iters=args.max_iters, rel_tol=args.rel_tol)
     tokens = [t.strip() for t in args.methods.split(",") if t.strip()]
     if not tokens:
         raise RankingError("no methods given")
@@ -162,7 +151,7 @@ def cmd_compare(args) -> int:
         if token == REFERENCE_TOKEN:
             reference = baselines.elmap_reference_scores()
             continue
-        pipeline = _pipeline_for(token, config)
+        pipeline = _pipeline_for(token)
         results.append(pipeline.run(table)[0])
     if not results:
         raise RankingError("need at least one computable method")
@@ -247,15 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, schema_required=True):
+    def add_common(p):
         p.add_argument("--data", required=True, help="input CSV (id,<indicators...>)")
-        if schema_required:
-            p.add_argument(
-                "--schema", required=True,
-                help="JSON indicator->orientation map",
-            )
-        p.add_argument("--max-iters", type=int, default=200)
-        p.add_argument("--rel-tol", type=float, default=1e-8)
+        p.add_argument(
+            "--schema", required=True, help="JSON indicator->orientation map"
+        )
 
     p_fit = sub.add_parser("fit", help="fit the ranking curve")
     add_common(p_fit)

@@ -7,6 +7,9 @@ implementations fail independently.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from rpcurve.bezier import (
     BestEnd,
@@ -21,6 +24,7 @@ from rpcurve.bezier import (
     is_monotone,
     nonlinearity_index,
     second_derivative,
+    _critical_points,
 )
 from rpcurve.errors import DomainError, NotMonotoneInPair
 
@@ -172,6 +176,25 @@ class TestNonlinearity:
         from rpcurve.errors import DegenerateCurve
         with pytest.raises(DegenerateCurve):
             curve([[0, 0], [1, 1], [-1, 1], [0, 0]])
+
+
+class TestCriticalPoints:
+    # coefficients on a 1e-5 grid in [-10, 10]
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-(10**6), 10**6).map(lambda k: k / 1e5),
+                    min_size=1, max_size=7))
+    def test_extremes_match_dense_grid(self, coeffs):
+        c = np.array(coeffs)
+        at_candidates = npoly.polyval(_critical_points(c), c)
+        sampled = npoly.polyval(np.linspace(0.0, 1.0, 200001), c)
+        rounding = 1e-12 * (1.0 + np.abs(c).sum())
+        # samples are 5e-6 apart and p' = 0 at an interior extreme, so a
+        # sampled extreme is within (2.5e-6)^2 / 2 * max |p''| of the true one
+        k = np.arange(len(c))
+        resolution = 3.2e-12 * np.abs(k * (k - 1) * c).sum() + rounding
+        for ext, sign in ((np.max, 1.0), (np.min, -1.0)):
+            gap = sign * (ext(at_candidates) - ext(sampled))
+            assert -rounding <= gap <= resolution
 
 
 class TestClassifyShape:

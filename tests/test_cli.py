@@ -256,6 +256,25 @@ class TestPlotdata:
             assert sum(r["series"] == "data" for r in rows) == 26
 
 
+@pytest.mark.parametrize("flag,value", [("--max-iters", "5"),
+                                        ("--rel-tol", "1e-3")])
+@pytest.mark.parametrize("command,extra", [
+    ("fit", ["--out", os.devnull]),
+    ("check", ["--method", "rpc"]),
+    ("compare", ["--methods", "rpc", "--out", os.devnull]),
+])
+def test_fit_tuning_flags_are_rejected(workdir, capsys, flag, value, command,
+                                       extra):
+    # the fit has no user-tunable settings on the command line
+    with pytest.raises(SystemExit) as exc:
+        main([
+            command, "--data", str(workdir["data"]),
+            "--schema", str(workdir["schema"]), *extra, flag, value,
+        ])
+    assert exc.value.code == EXIT_VALIDATION
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy costs about a second to import; only ``compare`` needs it
     src = str(Path(rpcurve.__file__).resolve().parents[1])

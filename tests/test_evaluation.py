@@ -4,10 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rpcurve import evaluation
+from rpcurve.bezier import RankingCurve, derivative
 from rpcurve.data import IndicatorTable, Orientation
 from rpcurve.evaluation import (
+    REGULARITY_TOL,
     Criterion,
     RankingPipeline,
     Verdict,
@@ -141,12 +145,108 @@ class TestLinearCompatibility:
         assert res.verdict is Verdict.PASS
 
 
+def cusp_curve(c):
+    """Control points with C'(t) = (12 (t - c)^2, -6 (t - c)), a cusp at
+    t = c; c = 0.5 gives (0, 0), (1, 1), (0, 1), (1, 0)."""
+    dx = 4.0 * np.array([c * c, -c * (1.0 - c), (1.0 - c) ** 2])
+    dy = 2.0 * np.array([c, c - 0.5, c - 1.0])
+    steps = np.column_stack([dx, dy])
+    return np.vstack([np.zeros(2), np.cumsum(steps, axis=0)])
+
+
+def stationary_line(c):
+    """C(t) = (t - c)^3 (1, 2): a straight curve whose speed has a double
+    zero at t = c."""
+    x = np.array([-c**3, c * c - c**3, 2 * c * c - c - c**3, (1 - c) ** 3])
+    return np.outer(x, [1.0, 2.0])
+
+
+REGULARITY_CASES = {
+    "cusp at 0.5": ([[0, 0], [1, 1], [0, 1], [1, 0]], Verdict.FAIL),
+    # off every sample grid: the finite-difference check passed it
+    "cusp at 0.503": (cusp_curve(0.503), Verdict.FAIL),
+    # C'(0) = 3 (P1 - P0) = 0 exactly: the finite-difference check passed it
+    "P1 = P0": ([[0, 0], [0, 0], [1, 1], [2, 0]], Verdict.FAIL),
+    "stationary point on a line": (stationary_line(0.503), Verdict.FAIL),
+    "near-cusp P2 = (0, 1.0001)": (
+        [[0, 0], [1, 1], [0, 1.0001], [1, 0]], Verdict.PASS
+    ),
+}
+
+
 class TestSmoothness:
     def test_rpc_curve_smooth(self, noisy_table):
         pipe = rpc_pipeline()
         curve = pipe.run(noisy_table)[1]
         res = check_smoothness(curve)
         assert res.verdict is Verdict.PASS
+
+    def test_cusp_helper_reproduces_the_classic_cusp(self):
+        np.testing.assert_array_equal(
+            cusp_curve(0.5), REGULARITY_CASES["cusp at 0.5"][0]
+        )
+
+    @pytest.mark.parametrize("name", sorted(REGULARITY_CASES))
+    @pytest.mark.parametrize("scale,shift", [(1.0, 0.0), (1e6, 7.0)])
+    def test_exact_regularity_verdict(self, name, scale, shift):
+        points, verdict = REGULARITY_CASES[name]
+        curve = RankingCurve(np.asarray(points, dtype=float) * scale + shift)
+        res = check_smoothness(curve)
+        assert res.verdict is verdict, res.evidence
+        assert f"{REGULARITY_TOL:.0e}" in res.evidence
+        if verdict is Verdict.FAIL:
+            assert res.witness["ratio"] <= REGULARITY_TOL
+            speed = np.linalg.norm(derivative(curve, res.witness["t"]))
+            assert res.witness["speed"] == speed
+
+
+def _second_derivative_bound(points):
+    """max |C''| over [0, 1], bounded by the second-difference hull."""
+    return 6.0 * np.linalg.norm(np.diff(points, n=2, axis=0), axis=1).max()
+
+
+# control points on a 1e-5 grid in [-10, 10]
+_coord = st.integers(-(10**6), 10**6).map(lambda k: k / 1e5)
+
+
+@st.composite
+def curves_with_zero(draw):
+    """A random cubic and, if ``stop`` is set, the same first two
+    hodograph steps with the last one solved so that C'(stop) = 0."""
+    d = draw(st.integers(1, 3))
+    points = np.array(
+        draw(st.lists(st.lists(_coord, min_size=d, max_size=d),
+                      min_size=4, max_size=4)),
+        dtype=float,
+    )
+    stop = draw(st.one_of(st.none(), st.floats(0.05, 1.0)))
+    if stop is not None:
+        steps = np.diff(points, axis=0)
+        b0, b1, b2 = (1 - stop) ** 2, 2 * stop * (1 - stop), stop**2
+        steps[2] = -(b0 * steps[0] + b1 * steps[1]) / b2
+        points = np.vstack([points[:1], points[0] + np.cumsum(steps, axis=0)])
+    assume(not np.array_equal(points[0], points[3]))
+    return points, stop
+
+
+class TestSmoothnessProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(curves_with_zero())
+    def test_verdict_agrees_with_dense_sampling(self, case):
+        points, stop = case
+        curve = RankingCurve(points)
+        res = check_smoothness(curve)
+        speeds = np.linalg.norm(
+            derivative(curve, np.linspace(0.0, 1.0, 200001)), axis=1
+        )
+        # neighbouring samples are 5e-6 apart: the true extremes of |C'|
+        # lie within 2.5e-6 * max |C''| of the sampled ones
+        slack = 2.5e-6 * _second_derivative_bound(points)
+        if stop is not None:
+            assert speeds.min() <= slack + 1e-9
+            assert res.verdict is Verdict.FAIL, res.evidence
+        elif speeds.min() - slack > 1e-6 * (speeds.max() + slack):
+            assert res.verdict is Verdict.PASS, res.evidence
 
 
 class TestNoFreeParameters:

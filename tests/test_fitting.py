@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpcurve.bezier import BestEnd, Monotonicity, evaluate
 from rpcurve.data import Orientation, normalize
@@ -62,6 +64,25 @@ class TestAssignOrders:
             orders, _ = assign_orders(scores)
             want = scipy.stats.rankdata(-scores, method="min")
             np.testing.assert_array_equal(orders, want.astype(int))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.sampled_from([0.0, -0.0, 0.25, 1.0])
+        | st.floats(-1.0, 1.0, allow_nan=False),
+        min_size=1, max_size=30,
+    ))
+    def test_matches_sort_based_oracle(self, scores):
+        """Walk the scores best-first; an item ties the one before it or
+        takes its 1-based position (competition ranking)."""
+        best_first = sorted(range(len(scores)), key=lambda i: -scores[i])
+        want = [0] * len(scores)
+        for pos, i in enumerate(best_first):
+            prev = best_first[pos - 1]
+            tie = pos > 0 and scores[prev] == scores[i]
+            want[i] = want[prev] if tie else pos + 1
+        orders, tied = assign_orders(np.array(scores))
+        assert orders.tolist() == want
+        assert tied.tolist() == [scores.count(x) > 1 for x in scores]
 
     def test_ranking_result_lookups(self):
         r = make_ranking(("a", "b", "c"), np.array([0.1, 0.9, 0.5]), "m")
