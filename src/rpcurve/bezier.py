@@ -190,8 +190,16 @@ def _critical_points(coeffs: np.ndarray) -> np.ndarray:
     """Where the power-basis polynomial ``coeffs`` can take its extremes
     over [0, 1]: t = 0, t = 1 and the real part of every root of its
     derivative, clipped to [0, 1].  No root is filtered out: an extra
-    point of [0, 1] cannot overshoot the maximum or the minimum."""
-    roots = npoly.polyroots(npoly.polyder(coeffs))
+    point of [0, 1] cannot overshoot the maximum or the minimum.
+
+    Leading derivative coefficients below machine epsilon times the
+    largest are dropped first: the companion matrix would divide by them,
+    and the roots they add lie far outside [0, 1], so clip to an end that
+    is a candidate already."""
+    der = npoly.polyder(coeffs)
+    mags = np.abs(der)
+    kept = np.flatnonzero(mags > np.finfo(float).eps * mags.max())
+    roots = npoly.polyroots(der[: kept[-1] + 1 if kept.size else 1])
     return np.concatenate(([0.0, 1.0], np.clip(roots.real, 0.0, 1.0)))
 
 

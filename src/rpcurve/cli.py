@@ -90,6 +90,12 @@ def cmd_fit(args) -> int:
         f"{report.iterations} iterations, "
         f"converged={str(report.converged).lower()}, wrote {args.out}"
     )
+    if report.stop_reason == "max_iters":
+        print(
+            "warning: fit stopped at its projection cap before converging "
+            f"(last relative change {report.last_rel_change})",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

@@ -1,7 +1,8 @@
 """Fitting the ranking curve and turning projections into rankings.
 
-The fit alternates two exact half-steps from a first-principal-component
-initialization until the total squared projection distance stalls:
+The fit starts from a first-principal-component initialization and
+iterates the fixed-point map P -> update(project(P)) of the Hastie &
+Stuetzle alternation:
 
   1. project every normalized item onto the current curve (global
      per-point minimization, see :mod:`rpcurve.projection`);
@@ -9,7 +10,18 @@ initialization until the total squared projection distance stalls:
      the Bernstein design of the current parameters, with a tiny Tikhonov
      damping (1e-12) for numerical stability.
 
-Both half-steps are deterministic; there is no randomness anywhere, so a
+The plain alternation converges only linearly, so each step is
+accelerated by type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal.
+2011) over the last ``ANDERSON_WINDOW + 1`` (iterate, update) pairs.  The
+mixed control points are projected; when their total squared distance
+exceeds the last accepted one, the history is cleared and the plain
+update is projected instead.  A plain update that fails to lower the
+distance ends the fit, so the accepted distances never increase.  The fit
+stops when the relative change of the distance falls below
+``FitConfig.rel_tol`` or after ``FitConfig.max_iters`` projections,
+rejected ones included, whichever comes first.
+
+Every step is deterministic; there is no randomness anywhere, so a
 repeated fit on identical input is bit-identical.  The curve is oriented so
 that the "best" end (larger mean oriented coordinate) sits at t=1, which
 makes scores equal to projection parameters.
@@ -26,6 +38,7 @@ from .bezier import (
     BestEnd,
     Monotonicity,
     RankingCurve,
+    _casteljau,
     curve_from_dict,
     curve_to_dict,
     is_monotone,
@@ -50,6 +63,7 @@ from .projection import project_points, score_from_t
 
 DAMPING = 1e-12
 _MIN_T_SPREAD = 1e-12
+ANDERSON_WINDOW = 3  # Walker & Ni's m: differences of the last m + 1 pairs
 
 
 @dataclass(frozen=True)
@@ -71,10 +85,18 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitReport:
+    """How a fit ended.  ``iterations`` counts the accepted iterates, one
+    per recorded distance; ``stop_reason`` is ``"tol"`` when the relative
+    change of the distance fell below ``rel_tol`` and ``"max_iters"`` when
+    the projection cap stopped the fit first; ``last_rel_change`` is the
+    last relative change measured (None if the fit never compared two)."""
+
     iterations: int
     distances: tuple[float, ...]
     monotonicity: tuple[Monotonicity, ...]
     converged: bool
+    stop_reason: str
+    last_rel_change: float | None
 
     def to_dict(self) -> dict:
         return {
@@ -82,6 +104,8 @@ class FitReport:
             "distances": list(self.distances),
             "monotonicity": [m.value for m in self.monotonicity],
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
+            "last_rel_change": self.last_rel_change,
         }
 
 
@@ -212,9 +236,24 @@ def init_curve(
     )
 
 
-def _bernstein3(ts: np.ndarray) -> np.ndarray:
-    s = 1.0 - ts
-    return np.stack([s**3, 3.0 * ts * s**2, 3.0 * ts**2 * s, ts**3], axis=-1)
+def _least_squares_update(ts: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Control points (4 x d) that best fit ``z`` at fixed parameters."""
+    design = _casteljau(np.eye(4), ts)
+    gram = design.T @ design + DAMPING * np.eye(4)
+    return np.linalg.solve(gram, design.T @ z)
+
+
+def _anderson_point(iterates: list, updates: list) -> np.ndarray:
+    """Type-II Anderson mixing of the last update with the window's
+    differences (Walker & Ni 2011): weights from one least-squares fit of
+    the newest residual by the residual differences."""
+    x = np.array(iterates)
+    g = np.array(updates)
+    residuals = g - x
+    gamma = np.linalg.lstsq(
+        np.diff(residuals, axis=0).T, residuals[-1], rcond=None
+    )[0]
+    return g[-1] - np.diff(g, axis=0).T @ gamma
 
 
 def fit(
@@ -222,46 +261,65 @@ def fit(
     orientations=None,
     config: FitConfig | None = None,
 ):
-    """Alternating minimization; returns (RankingCurve, FitReport).
+    """Accelerated, safeguarded alternation; returns (RankingCurve, FitReport).
 
-    The recorded distance sequence holds the total squared projection
-    distance at each projection half-step and is non-increasing up to the
-    damping slack.  After convergence the best-end convention is
-    re-checked and each dimension gets an exact monotonicity verdict.
+    ``config.max_iters`` caps the projections, rejected ones included.
+    The recorded distances are those of the accepted iterates, so they never
+    increase, and the returned curve is the last accepted one.  After the
+    loop the best-end convention is re-checked and each dimension gets an
+    exact monotonicity verdict.
     """
     if config is None:
         config = FitConfig()
     if orientations is None:
         orientations = data.orientations
     z = data.values
-    curve = init_curve(data, orientations)
+    projections = 0
 
-    distances: list[float] = []
-    converged = False
-    prev = None
-    for _ in range(config.max_iters):
-        ts, dist, _ = project_points(curve, z, workers=config.workers)
-        total = float(np.sum(dist * dist))
-        distances.append(total)
-        if prev is not None:
-            rel = 0.0 if prev == 0.0 else (prev - total) / prev
-            if rel < config.rel_tol:
-                converged = True
-                break
-        prev = total
+    def project(points: np.ndarray):
+        nonlocal projections
+        projections += 1
+        candidate = RankingCurve(
+            control_points=points,
+            best_end=BestEnd.AT_T1,
+            transform=data.transform,
+        )
+        ts, dist, _ = project_points(candidate, z, workers=config.workers)
+        return candidate, ts, float(np.sum(dist * dist))
 
+    curve, ts, total = project(init_curve(data, orientations).control_points)
+    distances = [total]
+    iterates: list[np.ndarray] = []
+    updates: list[np.ndarray] = []
+    keep = ANDERSON_WINDOW + 1
+    stop_reason = "max_iters"
+    rel = None
+    while projections < config.max_iters:
         if float(ts.max() - ts.min()) <= _MIN_T_SPREAD:
             raise DegenerateParameterSpread(
                 "all projection parameters coincide; cannot update curve"
             )
-        design = _bernstein3(ts)
-        gram = design.T @ design + DAMPING * np.eye(4)
-        new_pts = np.linalg.solve(gram, design.T @ z)
-        curve = RankingCurve(
-            control_points=new_pts,
-            best_end=BestEnd.AT_T1,
-            transform=data.transform,
-        )
+        update = _least_squares_update(ts, z)
+        iterates = (iterates + [curve.control_points.ravel()])[-keep:]
+        updates = (updates + [update.ravel()])[-keep:]
+        step = None
+        if len(iterates) > 1:
+            mixed = _anderson_point(iterates, updates).reshape(update.shape)
+            step = project(mixed)
+            if step[2] > total:  # safeguard: restart from the plain update
+                step, iterates, updates = None, [], []
+        if step is None:
+            if projections >= config.max_iters:
+                break
+            step = project(update)
+        step_total = step[2]
+        rel = 0.0 if total == 0.0 else (total - step_total) / total
+        if step_total <= total:
+            curve, ts, total = step
+            distances.append(total)
+        if rel < config.rel_tol:
+            stop_reason = "tol"
+            break
 
     pts = curve.control_points
     if best_end_first(pts[0], pts[3], orientations):
@@ -276,7 +334,9 @@ def fit(
         iterations=len(distances),
         distances=tuple(distances),
         monotonicity=verdicts,
-        converged=converged,
+        converged=stop_reason == "tol",
+        stop_reason=stop_reason,
+        last_rel_change=rel,
     )
     return curve, report
 

@@ -24,6 +24,7 @@ from rpcurve.bezier import (
     is_monotone,
     nonlinearity_index,
     second_derivative,
+    speed_extremes,
     _critical_points,
 )
 from rpcurve.errors import DomainError, NotMonotoneInPair
@@ -195,6 +196,24 @@ class TestCriticalPoints:
         for ext, sign in ((np.max, 1.0), (np.min, -1.0)):
             gap = sign * (ext(at_candidates) - ext(sampled))
             assert -rounding <= gap <= resolution
+
+    def test_untrimmed_roots_where_no_coefficient_is_negligible(self):
+        rng = np.random.default_rng(41)
+        for size in range(1, 8):
+            for _ in range(200):
+                c = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4)
+                roots = npoly.polyroots(npoly.polyder(c))
+                want = np.concatenate(([0.0, 1.0], np.clip(roots.real, 0, 1)))
+                assert _critical_points(c).tobytes() == want.tobytes()
+
+    def test_negligible_leading_coefficients_are_dropped(self):
+        # offsets near 1e-160 square to |C'|^2 coefficients near 1e-320:
+        # a companion matrix built on them overflows
+        c = curve([[0, 0], [0, 1e-160], [1, 0], [3, 2e-160]])
+        t_min, slowest, fastest = speed_extremes(c)
+        assert (t_min, fastest) == (0.0, 6.0)
+        assert 0.0 < slowest < 1e-159
+        assert 0.0 <= nonlinearity_index(c) < 1e-160
 
 
 class TestClassifyShape:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import rpcurve
+from rpcurve import cli
 from rpcurve.cli import (
     EXIT_CHECK_FAILED,
     EXIT_FIT_FAILURE,
@@ -19,6 +20,7 @@ from rpcurve.cli import (
     main,
 )
 from rpcurve.data import bundled_data_path, bundled_schema_path
+from rpcurve.fitting import FitConfig, fit_table
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,44 @@ class TestFit:
         assert len(cp) == 4 and all(len(row) == 3 for row in cp)
         assert payload["report"]["iterations"] >= 1
         assert len(payload["ranking"]) == 26
+
+    def test_converged_fit_prints_no_warning(self, tmp_path, capsys):
+        code = main([
+            "fit", "--data", str(bundled_data_path()),
+            "--schema", str(bundled_schema_path()),
+            "--out", str(tmp_path / "fit.json"),
+        ])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert "converged=true" in captured.out
+        assert captured.err == ""
+        report = json.loads((tmp_path / "fit.json").read_text())["report"]
+        assert report["stop_reason"] == "tol"
+
+    def test_projection_cap_warns_on_stderr(self, workdir, tmp_path, capsys,
+                                           monkeypatch):
+        # the CLI has no flag for the cap, so cap the fit it calls
+        monkeypatch.setattr(
+            cli, "fit_table",
+            lambda table: fit_table(table, FitConfig(max_iters=3)),
+        )
+        out = tmp_path / "fit.json"
+        code = main([
+            "fit", "--data", str(workdir["data"]),
+            "--schema", str(workdir["schema"]), "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        report = json.loads(out.read_text())["report"]
+        assert report["stop_reason"] == "max_iters"
+        assert captured.out == (
+            f"fit: 26 items, 3 dims, {report['iterations']} iterations, "
+            f"converged=false, wrote {out}\n"
+        )
+        assert captured.err == (
+            "warning: fit stopped at its projection cap before converging "
+            f"(last relative change {report['last_rel_change']})\n"
+        )
 
     def test_missing_file_exits_2(self, workdir, capsys):
         code = main([

@@ -200,6 +200,15 @@ class TestSmoothness:
             assert res.witness["speed"] == speed
 
 
+    def test_offsets_near_1e_160_fail_without_raising(self):
+        # |C'|^2 has coefficients near 1e-320 beside ones near 1: the root
+        # finder must not divide by them
+        curve = RankingCurve([[0, 0], [0, 1e-160], [1, 0], [3, 2e-160]])
+        res = check_smoothness(curve)
+        assert res.verdict is Verdict.FAIL, res.evidence
+        assert res.witness["t"] == 0.0
+
+
 def _second_derivative_bound(points):
     """max |C''| over [0, 1], bounded by the second-difference hull."""
     return 6.0 * np.linalg.norm(np.diff(points, n=2, axis=0), axis=1).max()

@@ -1,13 +1,15 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rpcurve import fitting
 from rpcurve.bezier import BestEnd, Monotonicity, evaluate
-from rpcurve.data import Orientation, normalize
+from rpcurve.data import IndicatorTable, Orientation, normalize
 from rpcurve.errors import BadCurveFile, TooFewItems, TransformMismatch
 from rpcurve.fitting import (
     FitConfig,
@@ -34,6 +36,39 @@ def line_table(make_table, n=30, d=3, noise=0.0, seed=0):
     base[0] = 0.0
     base[-1] = np.linspace(1.0, 2.0, d)
     return make_table(base)
+
+
+# values on a 2**-10 grid with |value| < 2**20
+_grid_value = st.integers(-(2**30) + 1, 2**30 - 1).map(lambda k: k / 1024.0)
+
+
+@st.composite
+def grid_tables(draw):
+    """n x d tables (n 8-30, d 2-4) with no constant column."""
+    n = draw(st.integers(8, 30))
+    d = draw(st.integers(2, 4))
+    values = np.array(draw(st.lists(
+        st.lists(_grid_value, min_size=d, max_size=d), min_size=n, max_size=n
+    )))
+    assume(np.all(values.max(axis=0) > values.min(axis=0)))
+    orientations = draw(st.lists(
+        st.sampled_from(list(Orientation)), min_size=d, max_size=d
+    ))
+    return IndicatorTable(
+        item_ids=tuple(f"it{i:02d}" for i in range(n)),
+        indicator_names=tuple(f"c{j}" for j in range(d)),
+        orientations=tuple(orientations),
+        values=values,
+    )
+
+
+def counted_fit(table, config=None):
+    """fit_table plus the number of projections the fit made."""
+    with mock.patch.object(
+        fitting, "project_points", wraps=fitting.project_points
+    ) as spy:
+        curve, report = fit_table(table, config)
+    return curve, report, spy.call_count
 
 
 class TestFitConfig:
@@ -178,6 +213,57 @@ class TestFit:
         assert len(report.monotonicity) == 3
         for v in report.monotonicity:
             assert isinstance(v, Monotonicity)
+
+    def test_bundled_fit_converges_by_tolerance(self, bundled_table):
+        config = FitConfig()
+        _, report, projections = counted_fit(bundled_table, config)
+        assert report.converged and report.stop_reason == "tol"
+        assert projections < config.max_iters
+        assert report.iterations == len(report.distances) <= projections
+        assert 0.0 <= report.last_rel_change < config.rel_tol
+        assert np.all(np.diff(report.distances) <= 0.0)
+        saved = report.to_dict()
+        assert saved["stop_reason"] == "tol"
+        assert saved["last_rel_change"] == report.last_rel_change
+
+    def test_projection_cap_reports_max_iters(self, make_table):
+        t = line_table(make_table, n=40, d=3, noise=0.05, seed=8)
+        _, report, projections = counted_fit(t, FitConfig(max_iters=3))
+        assert report.stop_reason == "max_iters"
+        assert not report.converged
+        assert projections == 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_tables(), st.integers(2, 30))
+    def test_distances_and_projection_cap(self, table, max_iters):
+        config = FitConfig(max_iters=max_iters)
+        _, report, projections = counted_fit(table, config)
+        assert np.all(np.diff(report.distances) <= 0.0)
+        assert projections <= max_iters
+        assert report.converged == (report.stop_reason == "tol")
+        if report.stop_reason == "max_iters":
+            assert projections == max_iters
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        grid_tables(),
+        st.lists(st.integers(-8, 8), min_size=4, max_size=4),
+        st.lists(_grid_value, min_size=4, max_size=4),
+    )
+    def test_scores_invariant_under_exact_scale_and_shift(
+        self, table, exponents, shifts
+    ):
+        """Scaling a column by a power of two and shifting it by a grid
+        multiple leaves its normalized values exact, so rpc scores and
+        orders must not move by a bit."""
+        d = table.n_indicators
+        moved = table.with_values(
+            table.values * np.exp2(exponents[:d]) + np.array(shifts[:d])
+        )
+        base = rank(table, fit_table(table)[0])
+        other = rank(moved, fit_table(moved)[0])
+        assert base.scores.tobytes() == other.scores.tobytes()
+        np.testing.assert_array_equal(base.orders, other.orders)
 
     def test_best_end_orientation(self, make_table):
         """The high-scoring end must carry the oriented-best profile."""
