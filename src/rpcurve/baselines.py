@@ -173,8 +173,11 @@ def entropy_weight_rank(
 class Comparison:
     """Per-item scores/orders for several methods plus rank correlations.
 
-    ``spearman`` and ``kendall`` are symmetric matrices over ``methods``;
-    entries for the reference method use only items the reference covers.
+    ``spearman`` (rho) and ``kendall`` (tau-b) are symmetric matrices over
+    ``methods``; entries for the reference method use only items the
+    reference covers, and a pair with a constant column reads NaN.  Both
+    statistics are exact and equal SciPy's ``spearmanr`` and
+    ``kendalltau`` to the bit.
     """
 
     item_ids: tuple[str, ...]
@@ -242,6 +245,83 @@ class Comparison:
         return buf.getvalue()
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their ranks."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    counts = np.diff(np.r_[first, x.size])
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(first + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho: the Pearson correlation of average ranks, NaN when
+    either input is constant.  Equal to SciPy's ``spearmanr`` to the bit,
+    which takes the same path."""
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return np.nan
+    ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
+def _tie_pairs(counts: np.ndarray) -> int:
+    """Pairs within groups of the given sizes, as an exact Python int."""
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _discordant_pairs(y: np.ndarray) -> int:
+    """Inversions of the integer sequence ``y``: pairs i < j, y[i] > y[j].
+
+    Bottom-up merge sort without an n x n array: at width w the sequence
+    is made of sorted blocks of w.  Offsetting each pair of neighbouring
+    blocks by its own multiple of ``span`` lets one global sort merge every
+    pair at once, and one ``searchsorted`` counts, for each right-block
+    element, the left-block elements above it.
+    """
+    n = y.size
+    pos = np.arange(n)
+    span = int(y.max()) + 1
+    s = y.astype(np.int64)
+    dis = 0
+    w = 1
+    while w < n:
+        block = pos // (2 * w)
+        keys = s + block * span
+        left = pos % (2 * w) < w
+        lkeys = keys[left]
+        ends = np.searchsorted(lkeys, (block[~left] + 1) * span)
+        below = np.searchsorted(lkeys, keys[~left], side="right")
+        dis += int((ends - below).sum())
+        s = np.sort(keys, kind="stable") - block * span
+        w *= 2
+    return dis
+
+
+def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
+    """Kendall's tau-b by Knight's O(n log n) algorithm (JASA 1966), NaN
+    when x or y is all ties.  Equal to SciPy's ``kendalltau`` to the bit: the
+    same dense ranks, exact integer pair counts and float formula."""
+    perm = np.argsort(y)
+    x, y = x[perm], y[perm]
+    y = np.r_[True, y[1:] != y[:-1]].cumsum(dtype=np.intp)
+    perm = np.argsort(x, kind="stable")
+    x, y = x[perm], y[perm]
+    x = np.r_[True, x[1:] != x[:-1]].cumsum(dtype=np.intp)
+
+    joint = np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1]), True]
+    ntie = _tie_pairs(np.diff(np.flatnonzero(joint)))
+    xtie = _tie_pairs(np.bincount(x))
+    ytie = _tie_pairs(np.bincount(y))
+    tot = x.size * (x.size - 1) // 2
+    if xtie == tot or ytie == tot:
+        return np.nan
+    con_minus_dis = tot - xtie - ytie + ntie - 2 * _discordant_pairs(y)
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return min(1.0, max(-1.0, float(tau)))
+
+
 def compare(
     results: list[RankingResult],
     reference: dict[str, float] | None = None,
@@ -251,10 +331,9 @@ def compare(
 
     All results must cover the identical item sequence.  An optional
     reference maps a subset of ids to scores; it joins as one more column
-    and its correlations use the covered subset only.
+    and its correlations use the covered subset only.  The correlations
+    need numpy only; they are exact and equal SciPy's to the bit.
     """
-    from scipy import stats  # deferred: it costs every CLI run about 1 s
-
     if not results:
         raise LengthMismatch("nothing to compare")
     ids = results[0].item_ids
@@ -298,8 +377,8 @@ def compare(
             if mask.sum() < 2:
                 sp = kt = np.nan
             else:
-                sp = float(stats.spearmanr(scores[mask, a], scores[mask, b])[0])
-                kt = float(stats.kendalltau(scores[mask, a], scores[mask, b])[0])
+                sp = _spearman(scores[mask, a], scores[mask, b])
+                kt = _kendall_tau_b(scores[mask, a], scores[mask, b])
             spearman[a, b] = spearman[b, a] = sp
             kendall[a, b] = kendall[b, a] = kt
     return Comparison(

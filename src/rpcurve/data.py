@@ -222,10 +222,22 @@ def _read_csv(path, expected):
                 f"expected indicator {name!r} is absent from {path}"
             )
 
+    body = rows[1:]
+    width = len(header)
+    if all(len(row) == width for row in body):
+        try:
+            values = np.array([row[1:] for row in body], dtype=float)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return (tuple(row[0].strip() for row in body),
+                        tuple(names), values)
+    # Cell by cell, in row-major order: names the first faulty cell, and
+    # parses any cell that numpy refuses but float() accepts.
     ids: list[str] = []
     data: list[list[float]] = []
-    width = len(header)
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(body, start=2):
         if len(row) < width:
             raise MissingCell(
                 f"{path}:{lineno}: expected {width} fields, got {len(row)}"

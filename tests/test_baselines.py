@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpcurve.baselines import (
+    _kendall_tau_b,
+    _spearman,
     arithmetic_mean_rank,
     compare,
     elmap_reference_scores,
@@ -197,6 +201,51 @@ class TestCompare:
         assert text.splitlines()[0].startswith("id,")
         corr = comp.correlations_csv()
         assert "spearman" in corr
+
+
+@st.composite
+def tied_pairs(draw):
+    """Two equal-length float arrays drawn from small pools of values, so
+    ties are heavy; a pool of one value makes a constant column."""
+    n = draw(st.integers(2, 80))
+    columns = []
+    for _ in range(2):
+        pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=1, max_size=6))
+        columns.append(np.array(draw(st.lists(st.sampled_from(pool),
+                                              min_size=n, max_size=n))))
+    return tuple(columns)
+
+
+def assert_same(got, want):
+    assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.stats.ConstantInputWarning")
+class TestCorrelations:
+    """The numpy statistics behind ``compare`` equal scipy's to the bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tied_pairs())
+    def test_equal_scipy_on_tied_samples(self, pair):
+        x, y = pair
+        assert_same(_spearman(x, y), float(scipy.stats.spearmanr(x, y)[0]))
+        assert_same(_kendall_tau_b(x, y),
+                    float(scipy.stats.kendalltau(x, y)[0]))
+
+    def test_constant_column_is_nan(self):
+        x = np.array([0.5, 0.5, 0.5])
+        y = np.array([1.0, 3.0, 2.0])
+        assert np.isnan(_spearman(x, y)) and np.isnan(_spearman(y, x))
+        assert np.isnan(_kendall_tau_b(x, y))
+        assert np.isnan(_kendall_tau_b(y, x))
+
+    def test_equal_scipy_at_twenty_thousand(self):
+        rng = np.random.default_rng(20000)
+        x = rng.uniform(size=20_000)
+        y = np.round(x + rng.normal(scale=0.3, size=20_000), 2)
+        assert _spearman(x, y) == scipy.stats.spearmanr(x, y)[0]
+        assert _kendall_tau_b(x, y) == scipy.stats.kendalltau(x, y)[0]
 
 
 class TestReferenceData:

@@ -315,16 +315,47 @@ def test_fit_tuning_flags_are_rejected(workdir, capsys, flag, value, command,
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy costs about a second to import; only ``compare`` needs it
+def _run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this rpcurve."""
     src = str(Path(rpcurve.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, rpcurve.cli; print('scipy' in sys.modules)"],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy costs about a second to import, and only the tests use it
+    out = _run_python("import sys, rpcurve.cli; print('scipy' in sys.modules)")
     assert out.stdout.strip() == "False"
+
+
+BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"import of {name} blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+from rpcurve import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_compare_runs_without_scipy(tmp_path):
+    args = [
+        "compare", "--data", str(bundled_data_path()),
+        "--schema", str(bundled_schema_path()),
+        "--methods", "rpc,arithmetic-norm,geometric,pca,entropy",
+    ]
+    blocked, free = tmp_path / "blocked.json", tmp_path / "free.json"
+    # check=True: the blocked run raises unless it exits 0
+    _run_python(BLOCK_SCIPY, *args, "--out", str(blocked))
+    assert main([*args, "--out", str(free)]) == EXIT_OK
+    assert blocked.read_bytes() == free.read_bytes()

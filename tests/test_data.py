@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rpcurve.data import (
     IndicatorTable,
@@ -10,6 +12,7 @@ from rpcurve.data import (
     apply_transform,
     denormalize_point,
     load_bundled_table,
+    load_rows,
     load_schema,
     load_table,
     normalize,
@@ -124,6 +127,87 @@ class TestLoadTable:
         p = write_csv(tmp_path, "id,a,b\nx,1,7\ny,2,7\n")
         with pytest.raises(ConstantColumn):
             load_table(p, GOOD_SCHEMA)
+
+
+# Padding around a cell; numpy's string conversion refuses "\x1c", which
+# float() strips as whitespace, so such cells take the cell-by-cell path.
+PAD = st.text(alphabet=" \t\u2003\x1c", max_size=2)
+
+
+@st.composite
+def padded_rows(draw):
+    """Rows of two ``repr``-ed finite floats with whitespace padding."""
+    n = draw(st.integers(1, 4))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=2 * n, max_size=2 * n))
+    cells = [draw(PAD) + repr(v) + draw(PAD) for v in values]
+    return [cells[2 * i:2 * i + 2] for i in range(n)]
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("parse") / "t.csv"
+
+
+LOADERS = [
+    pytest.param(lambda p: load_table(p, GOOD_SCHEMA), id="load_table"),
+    pytest.param(lambda p: load_rows(p, ["a", "b"]), id="load_rows"),
+]
+
+FAULTS = [
+    pytest.param("id,a,b\nx,1,10\ny,2\n", MissingCell,
+                 "{p}:3: expected 3 fields, got 2", id="short-row"),
+    pytest.param("id,a,b\nx,1,10,99\ny,2,20\n", SchemaError,
+                 "{p}:2: expected 3 fields, got 4", id="long-row"),
+    pytest.param("id,a,b\nx,1, \ny,2,20\n", MissingCell,
+                 "{p}:2: item 'x' is missing indicator 'b'", id="blank-cell"),
+    pytest.param("id,a,b\nx,1,10\ny,two,20\n", NonNumericCell,
+                 "{p}:3: item 'y', indicator 'a': cannot parse 'two'",
+                 id="non-numeric"),
+    pytest.param("id,a,b\nx,1,nan\ny,2,20\n", NonNumericCell,
+                 "{p}:2: item 'x', indicator 'b': non-finite value 'nan'",
+                 id="nan"),
+    pytest.param("id,a,b\nx,1,10\ny, -inf ,20\n", NonNumericCell,
+                 "{p}:3: item 'y', indicator 'a': non-finite value '-inf'",
+                 id="inf"),
+    # two faults: the first in row-major order is the one named
+    pytest.param("id,a,b\nx,1,bad\ny,nan,20\n", NonNumericCell,
+                 "{p}:2: item 'x', indicator 'b': cannot parse 'bad'",
+                 id="row-major-first-cell"),
+    pytest.param("id,a,b\nx,1,inf\ny,2\n", NonNumericCell,
+                 "{p}:2: item 'x', indicator 'b': non-finite value 'inf'",
+                 id="cell-before-short-row"),
+]
+
+
+class TestCsvParse:
+    @settings(max_examples=200, deadline=None)
+    @given(padded_rows())
+    @example([["-0.0 ", " 5e-324"], ["\t1e+308", "-1e+308"],
+              ["2.2250738585072014e-308", "1e-310"]])
+    @example([["\x1c1.5", "-0.0 "]])
+    def test_values_bit_identical_to_float(self, csv_path, rows):
+        csv_path.write_text(
+            "id,a,b\n"
+            + "".join(f" r{i}\t,{a},{b}\n" for i, (a, b) in enumerate(rows)),
+            encoding="utf-8",
+        )
+        got = load_rows(csv_path, ["a", "b"])
+        assert got.item_ids == tuple(f"r{i}" for i in range(len(rows)))
+        want = np.array([[float(c.strip()) for c in row] for row in rows])
+        assert got.values.dtype == want.dtype
+        assert got.values.shape == want.shape
+        assert got.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("load", LOADERS)
+    @pytest.mark.parametrize("text,error,message", FAULTS)
+    def test_first_fault_is_named(self, tmp_path, load, text, error,
+                                  message):
+        p = write_csv(tmp_path, text)
+        with pytest.raises(error) as exc:
+            load(p)
+        assert type(exc.value) is error
+        assert str(exc.value) == message.format(p=p)
 
 
 class TestLoadSchema:
