@@ -45,7 +45,8 @@ from .fitting import (
     make_ranking,
 )
 
-DEFAULT_EPSILON = 1e-9
+EPSILON = 1e-9  # floor of the shifted values the geometric/entropy ranks log
+REFERENCE_NAME = "elmap-reference"  # the published scores' column name
 
 
 def _oriented_normalized(table: IndicatorTable) -> np.ndarray:
@@ -87,21 +88,17 @@ def arithmetic_mean_rank(
 
 
 def geometric_mean_rank(
-    table: IndicatorTable,
-    variant: str = "normalized",
-    epsilon: float = DEFAULT_EPSILON,
+    table: IndicatorTable, variant: str = "normalized"
 ) -> RankingResult:
     """Geometric mean of oriented values.
 
     ``normalized``: oriented normalized values mapped onto (0, 1] via
-    v -> epsilon + (1 - epsilon) v before taking logs.  ``raw``: strictly
+    v -> EPSILON + (1 - EPSILON) v before taking logs.  ``raw``: strictly
     positive raw values on a ratio scale (reciprocal for negative
     orientations); raises NonPositiveAfterShift otherwise.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise NonPositiveAfterShift(f"epsilon must be in (0, 1), got {epsilon}")
     if variant == "normalized":
-        vals = epsilon + (1.0 - epsilon) * _oriented_normalized(table)
+        vals = EPSILON + (1.0 - EPSILON) * _oriented_normalized(table)
         method = "geometric"
     elif variant == "raw":
         vals = np.array(table.values, dtype=float)
@@ -117,8 +114,6 @@ def geometric_mean_rank(
         method = "geometric-raw"
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    if np.any(vals <= 0.0):
-        raise NonPositiveAfterShift("non-positive value after epsilon shift")
     scores = np.exp(np.mean(np.log(vals), axis=1))
     return make_ranking(table.item_ids, scores, method)
 
@@ -146,16 +141,14 @@ def pca_rank(table: IndicatorTable) -> RankingResult:
     return make_ranking(table.item_ids, scores, "pca")
 
 
-def entropy_weight_rank(
-    table: IndicatorTable, epsilon: float = DEFAULT_EPSILON
-) -> RankingResult:
+def entropy_weight_rank(table: IndicatorTable) -> RankingResult:
     """Entropy-weighted arithmetic mean of oriented normalized values.
 
     e_j = -(1/ln n) sum_i p_ij ln p_ij with p_ij the column shares of the
-    epsilon-shifted values; w_j = (1 - e_j) / sum_k (1 - e_k).
+    EPSILON-shifted values; w_j = (1 - e_j) / sum_k (1 - e_k).
     """
     oriented = _oriented_normalized(table)
-    shifted = epsilon + (1.0 - epsilon) * oriented
+    shifted = EPSILON + (1.0 - EPSILON) * oriented
     n = table.n_items
     p = shifted / shifted.sum(axis=0)
     entropy = -np.sum(p * np.log(p), axis=0) / np.log(n)
@@ -325,14 +318,14 @@ def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
 def compare(
     results: list[RankingResult],
     reference: dict[str, float] | None = None,
-    reference_name: str = "elmap-reference",
 ) -> Comparison:
     """Join rankings item-wise and cross-correlate them (Spearman/Kendall).
 
     All results must cover the identical item sequence.  An optional
     reference maps a subset of ids to scores; it joins as one more column
-    and its correlations use the covered subset only.  The correlations
-    need numpy only; they are exact and equal SciPy's to the bit.
+    named ``REFERENCE_NAME``, and its correlations use the covered subset
+    only.  The correlations need numpy only; they are exact and equal
+    SciPy's to the bit.
     """
     if not results:
         raise LengthMismatch("nothing to compare")
@@ -362,7 +355,7 @@ def compare(
         from .fitting import assign_orders
 
         ref_orders[covered], _ = assign_orders(ref_scores[covered])
-        methods.append(reference_name)
+        methods.append(REFERENCE_NAME)
         score_cols.append(ref_scores)
         order_cols.append(ref_orders)
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import baselines, evaluation
-from .bezier import RankingCurve, evaluate
+from .bezier import evaluate
 from .data import (
     BUNDLED_PROVENANCE,
     IndicatorTable,
@@ -56,7 +56,7 @@ _PIPELINES = {
     "entropy": evaluation.entropy_pipeline,
 }
 PIPELINE_TOKENS = tuple(_PIPELINES)
-REFERENCE_TOKEN = "elmap-reference"
+REFERENCE_TOKEN = baselines.REFERENCE_NAME
 
 
 def _pipeline_for(token: str) -> evaluation.RankingPipeline:
@@ -108,14 +108,7 @@ def _ranking_rows(ranking) -> list[list]:
 
 def cmd_rank(args) -> int:
     curve = load_curve(args.curve)
-    if args.schema:
-        # orientations are irrelevant for scoring; the schema names columns
-        names = load_schema(args.schema)
-    elif curve.transform is None:
-        raise TransformMismatch("curve file has no transform; supply --schema")
-    else:
-        names = curve.transform.indicator_names
-    rows = load_rows(args.data, names)
+    rows = load_rows(args.data, curve.transform.indicator_names)
     ranking = rank(rows, curve)
     if args.format == "csv":
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -123,14 +116,7 @@ def cmd_rank(args) -> int:
             writer.writerow(["id", "score", "order"])
             writer.writerows(_ranking_rows(ranking))
     else:
-        payload = {
-            "method": ranking.method,
-            "items": [
-                {"id": r["id"], "score": r["score"], "order": r["order"]}
-                | ({"tied": True} if r["tied"] else {})
-                for r in ranking.to_rows()
-            ],
-        }
+        payload = {"method": ranking.method, "items": ranking.json_items()}
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -181,8 +167,6 @@ def cmd_plotdata(args) -> int:
     import os
 
     curve = load_curve(args.curve)
-    if curve.transform is None:
-        raise TransformMismatch("curve file has no transform")
     names = curve.transform.indicator_names
     table = load_rows(args.data, names)
     z = apply_transform(table.values, curve.transform)
@@ -255,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rank = sub.add_parser("rank", help="score a table with a fitted curve")
     p_rank.add_argument("--data", required=True)
-    p_rank.add_argument("--schema", help="optional orientation map")
     p_rank.add_argument("--curve", required=True, help="fit output JSON")
     p_rank.add_argument("--out", required=True)
     p_rank.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -196,14 +196,16 @@ def load_schema(path) -> dict[str, Orientation]:
 
 
 def _read_csv(path, expected):
-    """Ids, indicator names and parsed values of ``id,<ind1>,...`` CSV rows
-    whose header holds exactly the names in ``expected``, in any order."""
+    """Ids, indicator names (in header order) and parsed values of
+    ``id,<ind1>,...`` CSV rows whose header holds exactly the names in
+    ``expected``, in any order.  Fully blank lines are skipped; messages
+    name a row by its file line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]  # ignore fully blank lines
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
     if len(rows) < 2:
         raise SchemaError(f"{path}: no data rows")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     if not header or header[0] != "id":
         raise SchemaError(f"{path}: first header column must be 'id'")
     names = header[1:]
@@ -224,20 +226,20 @@ def _read_csv(path, expected):
 
     body = rows[1:]
     width = len(header)
-    if all(len(row) == width for row in body):
+    if all(len(row) == width for _, row in body):
         try:
-            values = np.array([row[1:] for row in body], dtype=float)
+            values = np.array([row[1:] for _, row in body], dtype=float)
         except ValueError:
             pass
         else:
             if np.isfinite(values).all():
-                return (tuple(row[0].strip() for row in body),
+                return (tuple(row[0].strip() for _, row in body),
                         tuple(names), values)
     # Cell by cell, in row-major order: names the first faulty cell, and
     # parses any cell that numpy refuses but float() accepts.
     ids: list[str] = []
     data: list[list[float]] = []
-    for lineno, row in enumerate(body, start=2):
+    for lineno, row in body:
         if len(row) < width:
             raise MissingCell(
                 f"{path}:{lineno}: expected {width} fields, got {len(row)}"
@@ -299,9 +301,14 @@ def load_table(
 
 
 def load_rows(path, names) -> ScoringRows:
-    """Load CSV rows to score, checked as by :func:`load_table` except for
-    the fit-time invariants; the header must hold exactly ``names``."""
-    return ScoringRows(*_read_csv(path, set(names)))
+    """Load CSV rows to score against a curve fitted on indicators
+    ``names``.  The header must hold exactly those names, in any order;
+    the columns come back in the order of ``names``.  Cells are checked as
+    by :func:`load_table`, but the fit-time invariants are not: one row or
+    a constant column is fine."""
+    names = tuple(names)
+    ids, header, values = _read_csv(path, set(names))
+    return ScoringRows(ids, names, values[:, [header.index(n) for n in names]])
 
 
 def normalize(table: IndicatorTable) -> NormalizedTable:

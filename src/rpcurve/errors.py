@@ -76,8 +76,9 @@ class BadWeights(RankingError):
 
 
 class NonPositiveAfterShift(RankingError):
-    """Geometric aggregation saw a non-positive value after the documented
-    epsilon shift (or raw ratio-scale input that is not strictly positive)."""
+    """The raw (ratio-scale) geometric mean saw a value that is not
+    strictly positive.  The normalized variant cannot: its values are
+    shifted onto [EPSILON, 1]."""
 
 
 class DegenerateEntropy(RankingError):

@@ -155,6 +155,14 @@ class RankingResult:
             )
         ]
 
+    def json_items(self) -> list[dict]:
+        """The rows as saved in JSON: ``tied`` appears only where true."""
+        return [
+            {"id": r["id"], "score": r["score"], "order": r["order"]}
+            | ({"tied": True} if r["tied"] else {})
+            for r in self.to_rows()
+        ]
+
 
 def assign_orders(scores: np.ndarray):
     """Competition ranking of descending scores: order = 1 + #{better}."""
@@ -205,17 +213,13 @@ def first_principal_axis(values: np.ndarray) -> np.ndarray:
     return v
 
 
-def init_curve(
-    data: NormalizedTable, orientations=None
-) -> RankingCurve:
+def init_curve(data: NormalizedTable) -> RankingCurve:
     """Cubic curve along the first principal component of the data.
 
     The segment between the two extreme projections is degree-elevated to a
     cubic (interior points at 1/3 and 2/3 of the chord) and oriented so the
     better end (see :func:`best_end_first`) sits at t=1.
     """
-    if orientations is None:
-        orientations = data.orientations
     z = data.values
     if z.shape[0] < 4:
         raise TooFewItems(f"fit needs at least 4 items, got {z.shape[0]}")
@@ -224,7 +228,7 @@ def init_curve(
     proj = (z - center) @ v
     a = center + proj.min() * v
     b = center + proj.max() * v
-    if best_end_first(a, b, orientations):
+    if best_end_first(a, b, data.orientations):
         a, b = b, a
     p0, p3 = a, b
     p1 = p0 + (p3 - p0) / 3.0
@@ -256,11 +260,7 @@ def _anderson_point(iterates: list, updates: list) -> np.ndarray:
     return g[-1] - np.diff(g, axis=0).T @ gamma
 
 
-def fit(
-    data: NormalizedTable,
-    orientations=None,
-    config: FitConfig | None = None,
-):
+def fit(data: NormalizedTable, config: FitConfig | None = None):
     """Accelerated, safeguarded alternation; returns (RankingCurve, FitReport).
 
     ``config.max_iters`` caps the projections, rejected ones included.
@@ -271,8 +271,6 @@ def fit(
     """
     if config is None:
         config = FitConfig()
-    if orientations is None:
-        orientations = data.orientations
     z = data.values
     projections = 0
 
@@ -287,7 +285,7 @@ def fit(
         ts, dist, _ = project_points(candidate, z, workers=config.workers)
         return candidate, ts, float(np.sum(dist * dist))
 
-    curve, ts, total = project(init_curve(data, orientations).control_points)
+    curve, ts, total = project(init_curve(data).control_points)
     distances = [total]
     iterates: list[np.ndarray] = []
     updates: list[np.ndarray] = []
@@ -322,7 +320,7 @@ def fit(
             break
 
     pts = curve.control_points
-    if best_end_first(pts[0], pts[3], orientations):
+    if best_end_first(pts[0], pts[3], data.orientations):
         curve = RankingCurve(
             control_points=pts[::-1].copy(),
             best_end=BestEnd.AT_T1,
@@ -343,14 +341,11 @@ def fit(
 
 def fit_table(table: IndicatorTable, config: FitConfig | None = None):
     """Normalize a raw table and fit; the usual entry point."""
-    return fit(normalize(table), table.orientations, config)
+    return fit(normalize(table), config)
 
 
 def rank(
-    table: IndicatorTable | ScoringRows,
-    curve: RankingCurve,
-    workers: int = 1,
-    method: str = "rpc",
+    table: IndicatorTable | ScoringRows, curve: RankingCurve
 ) -> RankingResult:
     """Score rows against a fitted curve using its stored transform; a
     row's score depends on that row alone, to the bit."""
@@ -363,26 +358,20 @@ def rank(
             f"{table.indicator_names}"
         )
     z = apply_transform(table.values, curve.transform)
-    ts, _, _ = project_points(curve, z, workers=workers)
+    ts, _, _ = project_points(curve, z)
     scores = score_from_t(ts, curve.best_end)
-    return make_ranking(table.item_ids, scores, method)
+    return make_ranking(table.item_ids, scores, "rpc")
 
 
 def fit_result_to_dict(
     curve: RankingCurve, report: FitReport, ranking: RankingResult
 ) -> dict:
-    out = {
+    return {
         "curve": curve_to_dict(curve),
         "report": report.to_dict(),
-        "ranking": [
-            {"id": r["id"], "score": r["score"], "order": r["order"]}
-            | ({"tied": True} if r["tied"] else {})
-            for r in ranking.to_rows()
-        ],
+        "ranking": ranking.json_items(),
+        "transform": curve.transform.to_dict(),
     }
-    if curve.transform is not None:
-        out["transform"] = curve.transform.to_dict()
-    return out
 
 
 def save_fit(path, curve, report, ranking) -> None:
@@ -392,19 +381,23 @@ def save_fit(path, curve, report, ranking) -> None:
 
 
 def load_curve(path) -> RankingCurve:
-    """Read a curve (with its transform) back from a fit output file;
-    BadCurveFile if the transform does not fit the control points."""
+    """Read the curve and its normalization transform back from a file
+    that :func:`save_fit` wrote.  BadCurveFile if the file lacks or garbles
+    the ``curve`` or ``transform`` entry, or if the transform does not fit
+    the control points."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    transform = None
-    if "transform" in payload:
+    try:
         transform = NormalizationTransform.from_dict(payload["transform"])
-    node = payload["curve"] if "curve" in payload else payload
-    curve = curve_from_dict(node, transform=transform)
-    if transform is not None:
-        sizes = {transform.dim, transform.mins.size, transform.maxs.size}
-        if sizes != {curve.dim}:
-            raise BadCurveFile(f"{path}: transform and curve dims differ")
-        if not np.all(transform.maxs > transform.mins):
-            raise BadCurveFile(f"{path}: transform has a max <= its min")
+        curve = curve_from_dict(payload["curve"], transform=transform)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadCurveFile(
+            f"{path}: not a fit output (needs 'curve' and 'transform'): "
+            f"{type(exc).__name__}: {exc}"
+        ) from None
+    sizes = {transform.dim, transform.mins.size, transform.maxs.size}
+    if sizes != {curve.dim}:
+        raise BadCurveFile(f"{path}: transform and curve dims differ")
+    if not np.all(transform.maxs > transform.mins):
+        raise BadCurveFile(f"{path}: transform has a max <= its min")
     return curve

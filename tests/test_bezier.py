@@ -7,7 +7,7 @@ implementations fail independently.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -142,6 +142,31 @@ class TestIsMonotone:
                 assert dec
             else:
                 assert not (inc or dec) or abs(vals[-1] - vals[0]) < 1e-9
+
+    # control coordinates on a 1e-5 grid in [-10, 10]
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-(10**6), 10**6).map(lambda k: k / 1e5),
+                    min_size=4, max_size=4))
+    def test_verdict_agrees_with_dense_derivative_sampling(self, coords):
+        # a straight second coordinate keeps P0 and P3 apart
+        c = curve([[x, k / 3.0] for k, x in enumerate(coords)])
+        q = derivative(c, np.linspace(0.0, 1.0, 20001))[:, 0]
+        lo, hi = q.min(), q.max()
+        # The samples include t = 0 and t = 1, so only the interior vertex
+        # of the quadratic C' can fall between them; the sampled extreme
+        # misses it by at most |C'''| / 2 * (2.5e-5)^2 <= 240 * 6.25e-10
+        # = 1.5e-7.  Draws with a sampled extreme within this margin of 0
+        # are near the boundary (C' = 0 at an end, or a double root) and
+        # are skipped.
+        margin = 1e-6
+        assume(abs(lo) > margin and abs(hi) > margin)
+        if lo > 0.0:
+            want = Monotonicity.STRICTLY_INCREASING
+        elif hi < 0.0:
+            want = Monotonicity.STRICTLY_DECREASING
+        else:
+            want = Monotonicity.NOT_MONOTONE
+        assert is_monotone(c, 0) is want
 
 
 class TestNonlinearity:

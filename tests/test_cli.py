@@ -204,6 +204,66 @@ class TestRank:
             assert scores(data) == {i: full[i] for i in ids}
 
 
+def test_reversed_columns_score_and_plot_as_the_original(tmp_path):
+    fitfile = tmp_path / "fit.json"
+    assert main([
+        "fit", "--data", str(bundled_data_path()),
+        "--schema", str(bundled_schema_path()), "--out", str(fitfile),
+    ]) == EXIT_OK
+    with open(bundled_data_path(), newline="") as fh:
+        rows = list(csv.reader(fh))
+    reversed_csv = tmp_path / "columns_reversed.csv"
+    with open(reversed_csv, "w", newline="") as fh:
+        csv.writer(fh).writerows([r[0]] + r[:0:-1] for r in rows)
+
+    def outputs(data, tag):
+        out = tmp_path / tag
+        for args in (
+            ["rank", "--out", str(out) + ".csv"],
+            ["rank", "--out", str(out) + ".json", "--format", "json"],
+            ["plotdata", "--out", str(out)],
+        ):
+            assert main([*args, "--data", str(data),
+                         "--curve", str(fitfile)]) == EXIT_OK
+        files = [Path(str(out) + ".csv"), Path(str(out) + ".json")]
+        files += sorted(out.iterdir())
+        return {f.name: f.read_bytes() for f in files}
+
+    want = outputs(bundled_data_path(), "original")
+    assert len(want) == 2 + 4 + 6
+    assert outputs(reversed_csv, "reversed") == {
+        name.replace("original", "reversed"): data
+        for name, data in want.items()
+    }
+
+
+@pytest.mark.parametrize("command", ["rank", "plotdata"])
+def test_curve_file_without_transform_exits_2(workdir, tmp_path, capsys,
+                                              command):
+    payload = json.loads(workdir["fit"].read_text())
+    del payload["transform"]
+    curve = tmp_path / "bare.json"
+    curve.write_text(json.dumps(payload), encoding="utf-8")
+    code = main([
+        command, "--data", str(workdir["data"]), "--curve", str(curve),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_VALIDATION
+    assert "needs 'curve' and 'transform'" in capsys.readouterr().err
+
+
+def test_rank_schema_flag_is_rejected(workdir, tmp_path, capsys):
+    # rank takes the indicator names from the curve file alone
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "rank", "--data", str(workdir["data"]),
+            "--curve", str(workdir["fit"]), "--out", str(tmp_path / "r.csv"),
+            "--schema", str(workdir["schema"]),
+        ])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "unrecognized arguments: --schema" in capsys.readouterr().err
+
+
 class TestCheck:
     def test_arithmetic_fails_audit(self, workdir, capsys):
         code = main([

@@ -177,6 +177,9 @@ FAULTS = [
     pytest.param("id,a,b\nx,1,inf\ny,2\n", NonNumericCell,
                  "{p}:2: item 'x', indicator 'b': non-finite value 'inf'",
                  id="cell-before-short-row"),
+    # a skipped blank line still counts: the row is named by its file line
+    pytest.param("id,a,b\n\nx,1,10\ny,2\n", MissingCell,
+                 "{p}:4: expected 3 fields, got 2", id="after-blank-line"),
 ]
 
 
@@ -208,6 +211,16 @@ class TestCsvParse:
             load(p)
         assert type(exc.value) is error
         assert str(exc.value) == message.format(p=p)
+
+
+class TestLoadRows:
+    def test_columns_come_in_the_order_asked_for(self, tmp_path):
+        p = write_csv(tmp_path, "id,b,a\nx,10,1\ny,20,2\n")
+        rows = load_rows(p, ["a", "b"])
+        assert rows.indicator_names == ("a", "b")
+        assert rows.values.tolist() == [[1.0, 10.0], [2.0, 20.0]]
+        # load_table keeps the header's order
+        assert load_table(p, GOOD_SCHEMA).indicator_names == ("b", "a")
 
 
 class TestLoadSchema:

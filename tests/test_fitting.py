@@ -165,12 +165,12 @@ class TestInitCurve:
     def test_too_few_items(self, make_table):
         t = make_table([[0, 0], [1, 1], [0.5, 0.5]])
         with pytest.raises(TooFewItems):
-            init_curve(normalize(t), t.orientations)
+            init_curve(normalize(t))
 
     def test_segment_through_data(self, make_table):
         t = line_table(make_table, n=20, d=2, seed=3)
         nt = normalize(t)
-        c = init_curve(nt, t.orientations)
+        c = init_curve(nt)
         # a PC segment through collinear data is itself collinear
         mid = evaluate(c, 0.5)
         ends = 0.5 * (evaluate(c, 0.0) + evaluate(c, 1.0))
@@ -329,6 +329,8 @@ class TestPersistence:
     @pytest.mark.parametrize("field, value", [
         ("mins", [0.0, 0.0]),  # two dimensions for a 3-d curve
         ("maxs", [1.0, 0.0, 1.0]),  # max == min in one column
+        ("mins", ["x", "y", "z"]),
+        ("indicator_names", None),
     ])
     def test_load_rejects_bad_transform(self, make_table, tmp_path,
                                         field, value):
@@ -339,6 +341,22 @@ class TestPersistence:
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["transform"][field] = value
         path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(BadCurveFile):
+            load_curve(path)
+
+    @pytest.mark.parametrize("strip", [
+        lambda p: {k: v for k, v in p.items() if k != "transform"},
+        lambda p: {k: v for k, v in p.items() if k != "curve"},
+        lambda p: p["curve"],
+    ], ids=["no-transform", "no-curve", "bare-curve"])
+    def test_load_requires_curve_and_transform(self, make_table, tmp_path,
+                                               strip):
+        t = line_table(make_table, n=30, d=3, noise=0.05, seed=19)
+        curve, report = fit_table(t)
+        path = tmp_path / "fit.json"
+        save_fit(path, curve, report, rank(t, curve))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(strip(payload)), encoding="utf-8")
         with pytest.raises(BadCurveFile):
             load_curve(path)
 
