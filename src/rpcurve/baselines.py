@@ -22,24 +22,22 @@ side-by-side comparison.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .data import IndicatorTable, negative_mask, normalize
+from .data import IndicatorTable, csv_text, negative_mask, normalize
 from .errors import (
     BadWeights,
     DegenerateEntropy,
     LengthMismatch,
     NonPositiveAfterShift,
-    TooFewItems,
 )
 from .fitting import (
     RankingResult,
+    assign_orders,
     best_end_first,
     first_principal_axis,
     make_ranking,
@@ -126,8 +124,6 @@ def pca_rank(table: IndicatorTable) -> RankingResult:
     scores 1 (same convention as the curve initialization, first
     coordinate breaking exact ties).
     """
-    if table.n_items < 2:
-        raise TooFewItems("pca ranking needs at least 2 items")
     z = normalize(table).values
     v = first_principal_axis(z)
     center = z.mean(axis=0)
@@ -204,38 +200,34 @@ class Comparison:
         }
 
     def table_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        """Per-item scores and orders as CSV (see :func:`csv_text`); both
+        cells are empty where a reference does not cover the item."""
         header = ["id"]
         for m in self.methods:
             header += [f"{m}_score", f"{m}_order"]
-        writer.writerow(header)
+        rows = [header]
         for i, item in enumerate(self.item_ids):
             row: list = [item]
             for k in range(len(self.methods)):
                 if np.isnan(self.scores[i, k]):
                     row += ["", ""]
                 else:
-                    row += [repr(float(self.scores[i, k])),
-                            int(self.orders[i, k])]
-            writer.writerow(row)
-        return buf.getvalue()
+                    row += [self.scores[i, k], self.orders[i, k]]
+            rows.append(row)
+        return csv_text(rows)
 
     def correlations_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["statistic", "method"] + list(self.methods))
-        for name, mat in (("spearman", self.spearman),
-                          ("kendall", self.kendall)):
-            for k, m in enumerate(self.methods):
-                writer.writerow(
-                    [name, m]
-                    + [
-                        "" if np.isnan(v) else repr(float(v))
-                        for v in mat[k]
-                    ]
-                )
-        return buf.getvalue()
+        """Both correlation matrices as CSV rows ``statistic, method,
+        <one cell per method>``; a NaN entry is an empty cell."""
+        return csv_text(
+            [["statistic", "method", *self.methods]]
+            + [
+                [name, m] + ["" if np.isnan(v) else v for v in mat[k]]
+                for name, mat in (("spearman", self.spearman),
+                                  ("kendall", self.kendall))
+                for k, m in enumerate(self.methods)
+            ]
+        )
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -352,8 +344,6 @@ def compare(
             )
         covered = np.isfinite(ref_scores)
         ref_orders = np.zeros(n, dtype=int)
-        from .fitting import assign_orders
-
         ref_orders[covered], _ = assign_orders(ref_scores[covered])
         methods.append(REFERENCE_NAME)
         score_cols.append(ref_scores)

@@ -133,46 +133,6 @@ def second_derivative(curve: RankingCurve, t) -> np.ndarray:
     return _casteljau(hodo2, tt)
 
 
-def _coordinate_derivative_extremes(curve: RankingCurve, dim: int):
-    """Values of the quadratic q(t) = C'_dim(t) at its extremes over [0, 1].
-
-    The extremes of a quadratic on an interval sit at the interval ends or
-    at the interior vertex, so the returned values bound q exactly.
-    """
-    p = curve.control_points[:, dim]
-    d0, d1, d2 = p[1] - p[0], p[2] - p[1], p[3] - p[2]
-    # q(t)/3 = (d0 - 2 d1 + d2) t^2 + 2 (d1 - d0) t + d0
-    a = d0 - 2.0 * d1 + d2
-    b = 2.0 * (d1 - d0)
-    vals = [3.0 * d0, 3.0 * d2]
-    if a != 0.0:
-        tv = -b / (2.0 * a)
-        if 0.0 < tv < 1.0:
-            vals.append(3.0 * ((a * tv + b) * tv + d0))
-    identically_zero = d0 == 0.0 and d1 == 0.0 and d2 == 0.0
-    return vals, identically_zero
-
-
-def is_monotone(curve: RankingCurve, dim: int) -> Monotonicity:
-    """Exact sign analysis of the coordinate derivative on (0, 1).
-
-    Strictly monotone iff the quadratic C'_dim keeps one sign on the open
-    interval and is not identically zero; an isolated interior zero (double
-    root) does not break strictness.
-    """
-    if not 0 <= dim < curve.dim:
-        raise DomainError(f"dimension {dim} out of range for d={curve.dim}")
-    vals, identically_zero = _coordinate_derivative_extremes(curve, dim)
-    if identically_zero:
-        return Monotonicity.NOT_MONOTONE
-    lo, hi = min(vals), max(vals)
-    if lo >= 0.0 and hi > 0.0:
-        return Monotonicity.STRICTLY_INCREASING
-    if hi <= 0.0 and lo < 0.0:
-        return Monotonicity.STRICTLY_DECREASING
-    return Monotonicity.NOT_MONOTONE
-
-
 def _power_coefficients(points: np.ndarray) -> np.ndarray:
     """Power-basis coefficients (4 x d) of the cubic through control rows."""
     q0, q1, q2, q3 = points
@@ -201,6 +161,30 @@ def _critical_points(coeffs: np.ndarray) -> np.ndarray:
     kept = np.flatnonzero(mags > np.finfo(float).eps * mags.max())
     roots = npoly.polyroots(der[: kept[-1] + 1 if kept.size else 1])
     return np.concatenate(([0.0, 1.0], np.clip(roots.real, 0.0, 1.0)))
+
+
+def is_monotone(curve: RankingCurve, dim: int) -> Monotonicity:
+    """Exact sign analysis of the coordinate derivative on [0, 1].
+
+    C'_dim / 3 is the quadratic with Bernstein coefficients h0, h1, h2, the
+    differences of consecutive control coordinates.  It is >= 0 on [0, 1]
+    iff h0 >= 0, h2 >= 0 and either h1 >= 0 or h1^2 <= h0 h2 (its interior
+    minimum is (h0 h2 - h1^2) / (h0 - 2 h1 + h2)).  Strictly monotone iff
+    that holds for C' or -C' and C' is not identically zero: an isolated
+    zero (an interior double root, a zero end slope) keeps strictness.
+    Exact whenever the products are, as for coordinates k/4.
+    """
+    if not 0 <= dim < curve.dim:
+        raise DomainError(f"dimension {dim} out of range for d={curve.dim}")
+    diffs = np.diff(curve.control_points[:, dim])
+    for verdict, (h0, h1, h2) in (
+        (Monotonicity.STRICTLY_INCREASING, diffs),
+        (Monotonicity.STRICTLY_DECREASING, -diffs),
+    ):
+        if (h0 >= 0.0 and h2 >= 0.0 and max(h0, h1, h2) > 0.0
+                and (h1 >= 0.0 or h1 * h1 <= h0 * h2)):
+            return verdict
+    return Monotonicity.NOT_MONOTONE
 
 
 def speed_extremes(curve: RankingCurve) -> tuple[float, float, float]:

@@ -10,7 +10,6 @@ deterministic: identical invocations write byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -23,18 +22,19 @@ from .data import (
     IndicatorTable,
     apply_transform,
     bundled_data_path,
+    csv_text,
+    json_text,
     load_rows,
     load_schema,
     load_table,
+    write_text,
 )
 from .errors import (
     DegenerateCurve,
     DegenerateParameterSpread,
     LoadError,
-    PipelineFailure,
     RankingError,
     TooFewItems,
-    TransformMismatch,
 )
 from .fitting import fit_table, load_curve, rank, save_fit
 
@@ -99,27 +99,20 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _ranking_rows(ranking) -> list[list]:
-    return [
-        [item, repr(float(s)), int(o)]
-        for item, s, o in zip(ranking.item_ids, ranking.scores, ranking.orders)
-    ]
-
-
 def cmd_rank(args) -> int:
     curve = load_curve(args.curve)
     rows = load_rows(args.data, curve.transform.indicator_names)
     ranking = rank(rows, curve)
     if args.format == "csv":
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id", "score", "order"])
-            writer.writerows(_ranking_rows(ranking))
+        text = csv_text(
+            [("id", "score", "order")]
+            + list(zip(ranking.item_ids, ranking.scores, ranking.orders))
+        )
     else:
-        payload = {"method": ranking.method, "items": ranking.json_items()}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        text = json_text(
+            {"method": ranking.method, "items": ranking.json_items()}
+        )
+    write_text(args.out, text)
     print(f"rank: scored {len(rows.item_ids)} items, wrote {args.out}")
     return EXIT_OK
 
@@ -149,16 +142,12 @@ def cmd_compare(args) -> int:
         raise RankingError("need at least one computable method")
     comparison = baselines.compare(results, reference=reference)
     if args.format == "csv":
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(comparison.table_csv())
         corr_path = args.out + ".correlations.csv"
-        with open(corr_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(comparison.correlations_csv())
+        write_text(args.out, comparison.table_csv())
+        write_text(corr_path, comparison.correlations_csv())
         print(f"compare: wrote {args.out} and {corr_path}")
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(comparison.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_text(args.out, json_text(comparison.to_dict()))
         print(f"compare: wrote {args.out}")
     return EXIT_OK
 
@@ -179,37 +168,22 @@ def cmd_plotdata(args) -> int:
     for j, name in enumerate(names):
         counts, edges = np.histogram(z[:, j], bins=20, range=(0.0, 1.0))
         path = os.path.join(args.out, f"hist_{name}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["bin_left", "bin_right", "count"])
-            for k in range(20):
-                writer.writerow(
-                    [repr(float(edges[k])), repr(float(edges[k + 1])),
-                     int(counts[k])]
-                )
+        write_text(path, csv_text(
+            [("bin_left", "bin_right", "count")]
+            + list(zip(edges[:-1], edges[1:], counts))
+        ))
         written.append(path)
 
-    ts = np.linspace(0.0, 1.0, 201)
-    curve_pts = evaluate(curve, ts)
+    curve_pts = evaluate(curve, np.linspace(0.0, 1.0, 201))
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
             path = os.path.join(args.out, f"pair_{names[a]}_{names[b]}.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["series", "id", "x", "y"])
-                for item, row in zip(table.item_ids, z):
-                    writer.writerow(
-                        [
-                            "data",
-                            item,
-                            repr(float(row[a])),
-                            repr(float(row[b])),
-                        ]
-                    )
-                for pt in curve_pts:
-                    writer.writerow(
-                        ["curve", "", repr(float(pt[a])), repr(float(pt[b]))]
-                    )
+            write_text(path, csv_text(
+                [("series", "id", "x", "y")]
+                + [("data", item, row[a], row[b])
+                   for item, row in zip(table.item_ids, z)]
+                + [("curve", "", pt[a], pt[b]) for pt in curve_pts]
+            ))
             written.append(path)
     print(f"plotdata: wrote {len(written)} files to {args.out}")
     return EXIT_OK
@@ -284,7 +258,7 @@ def main(argv=None) -> int:
     except (TooFewItems, DegenerateParameterSpread, DegenerateCurve) as exc:
         print(f"fit failure: {exc}", file=sys.stderr)
         return EXIT_FIT_FAILURE
-    except (LoadError, TransformMismatch, PipelineFailure, RankingError) as exc:
+    except RankingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
@@ -292,6 +266,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except json.JSONDecodeError as exc:
         print(f"malformed JSON input: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -1,4 +1,5 @@
-"""Indicator tables: CSV/schema loading, validation, unit-interval scaling.
+"""Indicator tables: CSV/schema loading, validation, unit-interval scaling,
+and the text layout of every result file the package writes.
 
 A table holds items (rows) by indicator columns, each column tagged with an
 orientation: ``positive`` means larger raw values are better, ``negative``
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -312,21 +314,18 @@ def load_rows(path, names) -> ScoringRows:
 
 
 def normalize(table: IndicatorTable) -> NormalizedTable:
-    """Min-max scale each column onto [0, 1] (endpoints attained exactly)."""
-    mins = table.values.min(axis=0)
-    maxs = table.values.max(axis=0)
-    spread = maxs - mins
-    if np.any(spread <= 0):
-        j = int(np.argmax(spread <= 0))
-        raise ConstantColumn(
-            f"indicator {table.indicator_names[j]!r} has zero spread"
-        )
+    """Min-max scale each column onto [0, 1] with :func:`apply_transform`
+    (endpoints attained exactly).  No column can have zero spread: an
+    :class:`IndicatorTable` column holds two distinct finite values, and
+    x != y implies x - y != 0 in IEEE arithmetic."""
     transform = NormalizationTransform(
-        indicator_names=table.indicator_names, mins=mins, maxs=maxs
+        indicator_names=table.indicator_names,
+        mins=table.values.min(axis=0),
+        maxs=table.values.max(axis=0),
     )
     return NormalizedTable(
         source=table,
-        values=(table.values - mins) / spread,
+        values=apply_transform(table.values, transform),
         transform=transform,
     )
 
@@ -347,6 +346,32 @@ def denormalize_point(
     return transform.mins + np.asarray(point, dtype=float) * (
         transform.maxs - transform.mins
     )
+
+
+def csv_text(rows) -> str:
+    r"""CSV text of ``rows`` (iterables of cells), each line ended by ``\n``.
+    Floats, numpy ones included, are written as ``repr(float(x))``, which
+    reads back to the same double; other cells as :mod:`csv` writes them
+    (ints and strings unchanged, quoted only where needed)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        writer.writerow(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v
+             for v in row]
+        )
+    return buf.getvalue()
+
+
+def json_text(payload) -> str:
+    """JSON text of ``payload``: two-space indent, one final newline."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, line ends untranslated."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 BUNDLED_PROVENANCE = (

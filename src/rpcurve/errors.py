@@ -35,8 +35,10 @@ class SchemaError(LoadError):
 
 
 class BadCurveFile(LoadError):
-    """A saved curve's transform has another dimension than its control
-    points, or some column with max <= min."""
+    """A saved curve file is not a fit output: its curve or transform is
+    missing or garbled, its control points do not form a curve, or its
+    transform has another dimension than the control points or some
+    column with max <= min."""
 
 
 class DomainError(RankingError):

@@ -328,24 +328,17 @@ def check_monotonicity(
     With the best end at t=1, positive indicators must strictly increase
     along t and negative ones strictly decrease (mirrored for t=0).
     """
-    expected_pos = (
-        Monotonicity.STRICTLY_INCREASING
-        if curve.best_end is BestEnd.AT_T1
-        else Monotonicity.STRICTLY_DECREASING
-    )
-    expected_neg = (
-        Monotonicity.STRICTLY_DECREASING
-        if curve.best_end is BestEnd.AT_T1
-        else Monotonicity.STRICTLY_INCREASING
-    )
-    verdicts = []
     bad = []
     for j, orientation in enumerate(orientations):
-        v = is_monotone(curve, j)
-        verdicts.append(v)
-        want = (
-            expected_pos if orientation is Orientation.POSITIVE else expected_neg
+        increasing = (orientation is Orientation.POSITIVE) == (
+            curve.best_end is BestEnd.AT_T1
         )
+        want = (
+            Monotonicity.STRICTLY_INCREASING
+            if increasing
+            else Monotonicity.STRICTLY_DECREASING
+        )
+        v = is_monotone(curve, j)
         if v is not want:
             bad.append((j, orientation.value, v.value, want.value))
     if bad:

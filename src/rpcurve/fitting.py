@@ -18,7 +18,7 @@ exceeds the last accepted one, the history is cleared and the plain
 update is projected instead.  A plain update that fails to lower the
 distance ends the fit, so the accepted distances never increase.  The fit
 stops when the relative change of the distance falls below
-``FitConfig.rel_tol`` or after ``FitConfig.max_iters`` projections,
+``REL_TOL`` (1e-8) or after ``FitConfig.max_iters`` projections,
 rejected ones included, whichever comes first.
 
 Every step is deterministic; there is no randomness anywhere, so a
@@ -49,11 +49,14 @@ from .data import (
     NormalizedTable,
     ScoringRows,
     apply_transform,
+    json_text,
     negative_mask,
     normalize,
+    write_text,
 )
 from .errors import (
     BadCurveFile,
+    DegenerateCurve,
     DegenerateParameterSpread,
     DomainError,
     TooFewItems,
@@ -64,6 +67,7 @@ from .projection import project_points, score_from_t
 DAMPING = 1e-12
 _MIN_T_SPREAD = 1e-12
 ANDERSON_WINDOW = 3  # Walker & Ni's m: differences of the last m + 1 pairs
+REL_TOL = 1e-8  # relative change of the distance below which the fit stops
 
 
 @dataclass(frozen=True)
@@ -71,14 +75,11 @@ class FitConfig:
     """Deterministic fit settings (no seeds: nothing is random)."""
 
     max_iters: int = 200
-    rel_tol: float = 1e-8
     workers: int = 1
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise DomainError("max_iters must be >= 1")
-        if not (self.rel_tol > 0.0):
-            raise DomainError("rel_tol must be positive")
         if self.workers < 1:
             raise DomainError("workers must be >= 1")
 
@@ -87,7 +88,7 @@ class FitConfig:
 class FitReport:
     """How a fit ended.  ``iterations`` counts the accepted iterates, one
     per recorded distance; ``stop_reason`` is ``"tol"`` when the relative
-    change of the distance fell below ``rel_tol`` and ``"max_iters"`` when
+    change of the distance fell below ``REL_TOL`` and ``"max_iters"`` when
     the projection cap stopped the fit first; ``last_rel_change`` is the
     last relative change measured (None if the fit never compared two)."""
 
@@ -315,7 +316,7 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
         if step_total <= total:
             curve, ts, total = step
             distances.append(total)
-        if rel < config.rel_tol:
+        if rel < REL_TOL:
             stop_reason = "tol"
             break
 
@@ -375,21 +376,24 @@ def fit_result_to_dict(
 
 
 def save_fit(path, curve, report, ranking) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fit_result_to_dict(curve, report, ranking), fh, indent=2)
-        fh.write("\n")
+    """Write the curve, its transform, the fit report and the ranking as
+    JSON (see :func:`json_text`); :func:`load_curve` reads the curve back."""
+    write_text(path, json_text(fit_result_to_dict(curve, report, ranking)))
 
 
 def load_curve(path) -> RankingCurve:
     """Read the curve and its normalization transform back from a file
     that :func:`save_fit` wrote.  BadCurveFile if the file lacks or garbles
-    the ``curve`` or ``transform`` entry, or if the transform does not fit
-    the control points."""
+    the ``curve`` or ``transform`` entry, if its control points do not form
+    a curve (not 4 x d, not finite, or P0 = P3), or if the transform does
+    not fit the control points."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
         transform = NormalizationTransform.from_dict(payload["transform"])
         curve = curve_from_dict(payload["curve"], transform=transform)
+    except DegenerateCurve as exc:
+        raise BadCurveFile(f"{path}: bad control points: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise BadCurveFile(
             f"{path}: not a fit output (needs 'curve' and 'transform'): "

@@ -5,6 +5,9 @@ exact monotonicity test against dense derivative sampling, so the two
 implementations fail independently.
 """
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -167,6 +170,35 @@ class TestIsMonotone:
         else:
             want = Monotonicity.NOT_MONOTONE
         assert is_monotone(c, 0) is want
+
+    def test_verdict_equals_exact_oracle_on_quarter_grid(self):
+        # Every curve with P0 = 0 and the other coordinates k/4 in [-4, 4]
+        # (the verdict depends only on differences): differences and their
+        # products are exact in doubles, so the verdict must equal the
+        # exact one, worked out here in integers (4 times the coordinates)
+        # and fractions.  The grid holds zero end slopes and interior
+        # double roots, e.g. (0, 4, 1, 3.25) with C' = 3 (7t - 4)^2 / 4,
+        # whose vertex 4/7 no double represents.
+        def exact(ks):
+            d0, d1, d2 = (b - a for a, b in zip(ks, ks[1:]))
+            a, b = d0 - 2 * d1 + d2, 2 * (d1 - d0)  # C' ~ a t^2 + b t + d0
+            vals = [d0, d2]
+            if a != 0 and 0 < Fraction(-b, 2 * a) < 1:
+                vals.append(d0 - Fraction(b * b, 4 * a))
+            if min(vals) >= 0 < max(vals):
+                return Monotonicity.STRICTLY_INCREASING
+            if max(vals) <= 0 > min(vals):
+                return Monotonicity.STRICTLY_DECREASING
+            return Monotonicity.NOT_MONOTONE
+
+        double_roots = 0
+        for ks in itertools.product([0], *[range(-16, 17)] * 3):
+            c = curve([[k / 4, i / 3.0] for i, k in enumerate(ks)])
+            want = exact(ks)
+            assert is_monotone(c, 0) is want, ks
+            d0, d1, d2 = (b - a for a, b in zip(ks, ks[1:]))
+            double_roots += d1 * d1 == d0 * d2 != 0 > d0 * d1
+        assert double_roots > 0
 
 
 class TestNonlinearity:

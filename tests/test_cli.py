@@ -125,15 +125,30 @@ class TestFit:
         assert code == EXIT_FIT_FAILURE
 
     def test_deterministic_bytes(self, workdir, tmp_path):
-        out1 = tmp_path / "a.json"
-        out2 = tmp_path / "b.json"
-        for out in (out1, out2):
-            code = main([
-                "fit", "--data", str(workdir["data"]),
-                "--schema", str(workdir["schema"]), "--out", str(out),
-            ])
-            assert code == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
+        # every command that writes files writes the same bytes twice
+        common = ["--data", str(workdir["data"])]
+        fitted = common + ["--curve", str(workdir["fit"])]
+        audited = common + ["--schema", str(workdir["schema"])]
+        methods = ["--methods", "rpc,pca,entropy"]
+        runs = {
+            "fit.json": ["fit", *audited],
+            "rank.csv": ["rank", *fitted],
+            "rank.json": ["rank", *fitted, "--format", "json"],
+            "cmp.json": ["compare", *audited, *methods],
+            "cmp.csv": ["compare", *audited, *methods, "--format", "csv"],
+            "plots": ["plotdata", *fitted],
+        }
+
+        def written(out):
+            out.mkdir()
+            for name, args in runs.items():
+                assert main([*args, "--out", str(out / name)]) == EXIT_OK
+            return {p.relative_to(out): p.read_bytes()
+                    for p in sorted(out.rglob("*")) if p.is_file()}
+
+        first = written(tmp_path / "a")
+        assert len(first) == 6 + 3 + 3  # with correlations, hists, pairs
+        assert written(tmp_path / "b") == first
 
 
 class TestRank:
@@ -250,6 +265,72 @@ def test_curve_file_without_transform_exits_2(workdir, tmp_path, capsys,
     ])
     assert code == EXIT_VALIDATION
     assert "needs 'curve' and 'transform'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rank", "plotdata"])
+@pytest.mark.parametrize("edit, fault", [
+    (lambda cp: cp[:3], "4 x d"),
+    (lambda cp: [cp[0], [float("nan")] * len(cp[0]), cp[2], cp[3]],
+     "finite"),
+    (lambda cp: cp[:3] + [cp[0]], "coincide"),
+], ids=["three-rows", "nan", "p0-equals-p3"])
+def test_malformed_curve_file_exits_2(workdir, tmp_path, capsys, command,
+                                      edit, fault):
+    # nothing is fitted, so a bad saved curve is a validation error
+    payload = json.loads(workdir["fit"].read_text())
+    cp = payload["curve"]["control_points"]
+    payload["curve"]["control_points"] = edit(cp)
+    curve = tmp_path / "bad.json"
+    curve.write_text(json.dumps(payload), encoding="utf-8")
+    code = main([
+        command, "--data", str(workdir["data"]), "--curve", str(curve),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {curve}: bad control points: ")
+    assert fault in err
+
+
+@pytest.mark.parametrize("bad, command", [
+    ("data", "fit"), ("data", "check"), ("data", "compare"),
+    ("data", "rank"), ("data", "plotdata"),
+    ("schema", "fit"), ("schema", "check"), ("schema", "compare"),
+    ("curve", "rank"), ("curve", "plotdata"),
+])
+def test_non_utf8_input_exits_2(workdir, tmp_path, capsys, bad, command):
+    paths = {k: str(workdir[k]) for k in ("data", "schema", "fit")}
+    key = "fit" if bad == "curve" else bad
+    paths[key] = str(tmp_path / "binary")
+    Path(paths[key]).write_bytes(b"\x89PNG\r\n\xff\xfe")
+    inputs = {
+        "fit": ["--schema", paths["schema"], "--out", os.devnull],
+        "check": ["--schema", paths["schema"], "--method", "pca"],
+        "compare": ["--schema", paths["schema"], "--methods", "pca",
+                    "--out", os.devnull],
+        "rank": ["--curve", paths["fit"], "--out", os.devnull],
+        "plotdata": ["--curve", paths["fit"],
+                     "--out", str(tmp_path / "plots")],
+    }
+    code = main([command, "--data", paths["data"], *inputs[command]])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: input is not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
+def test_malformed_json_message(workdir, tmp_path, capsys):
+    schema = tmp_path / "schema.json"
+    schema.write_text("{", encoding="utf-8")
+    code = main([
+        "check", "--data", str(workdir["data"]), "--schema", str(schema),
+        "--method", "pca",
+    ])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "malformed JSON input: Expecting property name enclosed in double "
+        "quotes: line 1 column 2 (char 1)\n"
+    )
 
 
 def test_rank_schema_flag_is_rejected(workdir, tmp_path, capsys):

@@ -10,12 +10,15 @@ from rpcurve.data import (
     NormalizationTransform,
     Orientation,
     apply_transform,
+    csv_text,
     denormalize_point,
+    json_text,
     load_bundled_table,
     load_rows,
     load_schema,
     load_table,
     normalize,
+    write_text,
 )
 from rpcurve.errors import (
     ConstantColumn,
@@ -281,6 +284,32 @@ class TestNormalize:
         assert tr2.indicator_names == tr.indicator_names
         np.testing.assert_array_equal(tr2.mins, tr.mins)
         np.testing.assert_array_equal(tr2.maxs, tr.maxs)
+
+
+class TestWriters:
+    def test_csv_cells(self):
+        text = csv_text([
+            ("id", "x", "n"),
+            ("a,b", np.float64(0.1) + np.float64(0.2), np.int64(7)),
+            ("c", np.float32(0.1), 3),
+            ("d", 1.0 / 3.0, ""),
+        ])
+        assert text == (
+            "id,x,n\n"
+            '"a,b",0.30000000000000004,7\n'
+            f"c,{float(np.float32(0.1))!r},3\n"
+            "d,0.3333333333333333,\n"
+        )
+
+    def test_json_ends_in_one_newline(self):
+        text = json_text({"a": [1, 2.5], "b": None})
+        assert text == '{\n  "a": [\n    1,\n    2.5\n  ],\n  "b": null\n}\n'
+        assert json.loads(text) == {"a": [1, 2.5], "b": None}
+
+    def test_write_keeps_line_ends(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_text(path, csv_text([("id", "x"), ("é", 1.5)]))
+        assert path.read_bytes() == "id,x\né,1.5\n".encode("utf-8")
 
 
 class TestBundledData:

@@ -12,6 +12,7 @@ from rpcurve.bezier import BestEnd, Monotonicity, evaluate
 from rpcurve.data import IndicatorTable, Orientation, normalize
 from rpcurve.errors import BadCurveFile, TooFewItems, TransformMismatch
 from rpcurve.fitting import (
+    REL_TOL,
     FitConfig,
     assign_orders,
     first_principal_axis,
@@ -75,14 +76,14 @@ class TestFitConfig:
     def test_defaults(self):
         c = FitConfig()
         assert c.max_iters == 200
-        assert c.rel_tol == 1e-8
+        assert REL_TOL == 1e-8
         assert c.workers == 1
 
     def test_validation(self):
         with pytest.raises(Exception):
             FitConfig(max_iters=0)
-        with pytest.raises(Exception):
-            FitConfig(rel_tol=-1.0)
+        with pytest.raises(TypeError, match="rel_tol"):
+            FitConfig(rel_tol=1e-3)
 
 
 class TestAssignOrders:
@@ -220,7 +221,7 @@ class TestFit:
         assert report.converged and report.stop_reason == "tol"
         assert projections < config.max_iters
         assert report.iterations == len(report.distances) <= projections
-        assert 0.0 <= report.last_rel_change < config.rel_tol
+        assert 0.0 <= report.last_rel_change < REL_TOL
         assert np.all(np.diff(report.distances) <= 0.0)
         saved = report.to_dict()
         assert saved["stop_reason"] == "tol"
@@ -358,6 +359,25 @@ class TestPersistence:
         payload = json.loads(path.read_text(encoding="utf-8"))
         path.write_text(json.dumps(strip(payload)), encoding="utf-8")
         with pytest.raises(BadCurveFile):
+            load_curve(path)
+
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda cp: cp[:3], "4 x d"),
+        (lambda cp: [cp[0], [float("nan")] * len(cp[0]), cp[2], cp[3]],
+         "finite"),
+        (lambda cp: cp[:3] + [cp[0]], "coincide"),
+    ], ids=["three-rows", "nan", "p0-equals-p3"])
+    def test_load_rejects_bad_control_points(self, make_table, tmp_path,
+                                             edit, fault):
+        t = line_table(make_table, n=30, d=3, noise=0.05, seed=19)
+        curve, report = fit_table(t)
+        path = tmp_path / "fit.json"
+        save_fit(path, curve, report, rank(t, curve))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        cp = payload["curve"]["control_points"]
+        payload["curve"]["control_points"] = edit(cp)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(BadCurveFile, match=fault):
             load_curve(path)
 
     def test_rank_with_loaded_curve(self, make_table, tmp_path):
