@@ -24,6 +24,7 @@ from .errors import (
     MissingCell,
     NonNumericCell,
     SchemaError,
+    SpreadOverflow,
     UnknownIndicator,
 )
 
@@ -317,12 +318,22 @@ def normalize(table: IndicatorTable) -> NormalizedTable:
     """Min-max scale each column onto [0, 1] with :func:`apply_transform`
     (endpoints attained exactly).  No column can have zero spread: an
     :class:`IndicatorTable` column holds two distinct finite values, and
-    x != y implies x - y != 0 in IEEE arithmetic."""
+    x != y implies x - y != 0 in IEEE arithmetic.  A spread that overflows
+    (finite values over 1.8e308 apart) raises SpreadOverflow."""
     transform = NormalizationTransform(
         indicator_names=table.indicator_names,
         mins=table.values.min(axis=0),
         maxs=table.values.max(axis=0),
     )
+    with np.errstate(over="ignore"):
+        spread = transform.maxs - transform.mins
+    for name, lo, hi, width in zip(table.indicator_names, transform.mins,
+                                   transform.maxs, spread):
+        if not np.isfinite(width):
+            raise SpreadOverflow(
+                f"indicator {name!r} spans {float(lo)!r} to {float(hi)!r}, "
+                f"a range too wide to scale"
+            )
     return NormalizedTable(
         source=table,
         values=apply_transform(table.values, transform),

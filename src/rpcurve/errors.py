@@ -25,6 +25,11 @@ class ConstantColumn(LoadError):
     """An indicator column has fewer than two distinct values."""
 
 
+class SpreadOverflow(LoadError):
+    """An indicator column's max - min exceeds the double range, so it
+    cannot be min-max scaled."""
+
+
 class UnknownIndicator(LoadError):
     """Header and orientation schema disagree about indicator names."""
 

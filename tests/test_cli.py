@@ -124,6 +124,21 @@ class TestFit:
         ])
         assert code == EXIT_FIT_FAILURE
 
+    def test_overflowing_spread_exits_2(self, workdir, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text(
+            "id,inc,life,bad\na,-1e308,2,3\nb,1e308,3,4\nc,0,4,5\n"
+            "d,5,5,6\ne,1,6,7\n",
+            encoding="utf-8",
+        )
+        code = main([
+            "fit", "--data", str(data), "--schema", str(workdir["schema"]),
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'inc'" in err
+
     def test_deterministic_bytes(self, workdir, tmp_path):
         # every command that writes files writes the same bytes twice
         common = ["--data", str(workdir["data"])]

@@ -25,6 +25,7 @@ from rpcurve.errors import (
     MissingCell,
     NonNumericCell,
     SchemaError,
+    SpreadOverflow,
     UnknownIndicator,
 )
 
@@ -276,6 +277,16 @@ class TestNormalize:
         nt = normalize(t)
         z = apply_transform(np.array([[20.0, 0.5]]), nt.transform)
         assert z[0, 0] == 2.0
+
+    def test_overflowing_spread_names_the_indicator(self, make_table):
+        # -1e308 .. 1e308 is finite at both ends but max - min overflows
+        t = make_table([[-1e308, 1.0], [1e308, 2.0], [0.0, 3.0],
+                        [5.0, 4.0], [1.0, 5.0]])
+        with pytest.raises(SpreadOverflow, match="'c0'"):
+            normalize(t)
+        # a spread just inside the double range scales as usual
+        wide = make_table([[-8e307, 1.0], [8e307, 2.0], [0.0, 3.0]])
+        assert normalize(wide).values[:, 0].tolist() == [0.0, 1.0, 0.5]
 
     def test_transform_dict_roundtrip(self, make_table):
         t = make_table([[1.0, 2.0], [4.0, 9.0]])

@@ -1,14 +1,27 @@
 """Orthogonal projection onto the curve, checked against brute force."""
 
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rpcurve.bezier import BestEnd, RankingCurve, evaluate
+from rpcurve.baselines import published_control_points
+from rpcurve.bezier import (
+    BestEnd,
+    RankingCurve,
+    derivative,
+    evaluate,
+    second_derivative,
+)
+from rpcurve.data import apply_transform, load_bundled_table, normalize
 from rpcurve.errors import DomainError
 from rpcurve.projection import (
+    BLOCK,
+    CELLS,
     project_point,
     project_points,
     score_from_t,
@@ -189,6 +202,141 @@ class TestProjectionProperties:
         s = k * 2 * w * w / (3 * h)
         r = project_point(arch, np.array([0.0, -s]))
         assert r.t == 0.0 and r.clamped
+
+
+def normals(c, t):
+    """Unit normals of a planar curve at t (rows)."""
+    d = derivative(c, t)
+    return np.stack([-d[:, 1], d[:, 0]], axis=1) / np.hypot(
+        d[:, 0], d[:, 1])[:, None]
+
+
+class TestHardGeometry:
+    """Cases the cell sorter of the projector must get right: block
+    boundaries, roots on cell nodes, two minima in one cell, double roots
+    and extreme scales."""
+
+    def test_batch_equals_loop_and_workers_across_blocks(self):
+        rng = np.random.default_rng(11)
+        c = curve(rng.normal(size=(4, 3)))
+        xs = rng.normal(scale=2.0, size=(2 * BLOCK + 3, 3))
+        base = project_points(c, xs)
+        for i in range(len(xs)):
+            r = project_point(c, xs[i])
+            assert (base[0][i], base[1][i], base[2][i]) == (
+                r.t, r.distance, r.clamped)
+        for w in (1, 2, 8):
+            for a, b in zip(base, project_points(c, xs, workers=w)):
+                np.testing.assert_array_equal(a, b)
+        edges = [k + j for k in (0, BLOCK, 2 * BLOCK) for j in (-2, -1, 0, 1)]
+        assert_not_worse_than_dense(c, xs[[e for e in edges if e >= 0]])
+
+    def test_feet_on_cell_nodes(self):
+        # C(k / CELLS) and C'(k / CELLS) are exact for integer control
+        # points, so x = C + s N has g(k / CELLS) = 0 exactly
+        c = curve([[0, 0], [3, 5], [6, 7], [9, 6]])
+        nodes = np.arange(CELLS + 1) / CELLS
+        d = derivative(c, nodes)
+        for s in (2.0**-6, -(2.0**-6)):
+            xs = evaluate(c, nodes) + s * np.stack([-d[:, 1], d[:, 0]], 1)
+            ts, _, clamped = project_points(c, xs)
+            np.testing.assert_allclose(ts, nodes, rtol=0, atol=1e-12)
+            assert not clamped.any()
+            assert_not_worse_than_dense(c, xs)
+
+    def test_two_minima_in_one_cell(self):
+        # a near-cusp at t = 0.6: the point between its two branches has a
+        # local minimum on each, both inside the cell [0.5, 0.625]
+        c = curve([[0.392, 0.48], [0.572, 0.78], [0.452, 0.83],
+                   [0.532, 0.63]])
+        ts = np.linspace(0.0, 1.0, 200001)
+        for x in ([0.4995, 0.7499], [0.499, 0.7497], [0.501, 0.7497]):
+            x = np.array(x)
+            d2 = ((evaluate(c, ts) - x) ** 2).sum(axis=1)
+            low = np.flatnonzero((d2[1:-1] < d2[:-2]) & (d2[1:-1] < d2[2:]))
+            assert (np.floor(ts[low + 1] * CELLS) == 4).sum() == 2
+            r = project_point(c, x)
+            assert abs(r.t - ts[np.argmin(d2)]) < 1e-4
+            assert_not_worse_than_dense(c, x[None, :])
+
+    def test_on_and_near_the_evolute(self):
+        # the centre of curvature E(t0) makes t0 a double root of g
+        c = curve([[0, 0], [3, 5], [6, 7], [9, 6]])
+        t0 = np.linspace(0.05, 0.95, 10)
+        d, dd = derivative(c, t0), second_derivative(c, t0)
+        radius = (d * d).sum(1) / (d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0])
+        centres = evaluate(c, t0) + normals(c, t0) * (
+            radius * np.hypot(d[:, 0], d[:, 1]))[:, None]
+        tangents = d / np.hypot(d[:, 0], d[:, 1])[:, None]
+        xs = [centres] + [centres + off * v for off in (1e-9, 1e-6, 1e-3)
+                          for sign in (1, -1) for v in (
+                              sign * normals(c, t0), sign * tangents)]
+        assert_not_worse_than_dense(c, np.concatenate(xs))
+
+    def test_scaled_by_powers_of_two(self):
+        rng = np.random.default_rng(12)
+        P = rng.normal(size=(4, 3))
+        xs = rng.normal(scale=2.0, size=(50, 3))
+        ts, dist, clamped = project_points(curve(P), xs)
+        assert_not_worse_than_dense(curve(P), xs)
+        for e in (400, -400):
+            c = curve(np.ldexp(P, e))
+            got = project_points(c, np.ldexp(xs, e))
+            np.testing.assert_array_equal(got[0], ts)
+            np.testing.assert_array_equal(got[1], np.ldexp(dist, e))
+            np.testing.assert_array_equal(got[2], clamped)
+            grid = evaluate(c, np.linspace(0.0, 1.0, 200001))
+            for x, r in zip(np.ldexp(xs, e), got[1]):
+                dense = float(((grid - x) ** 2).sum(axis=1).min())
+                assert r**2 <= dense + np.ldexp(DENSE_SLACK, 2 * e)
+
+
+def exact_foot_residual(P, x, t):
+    """|g(t)| = |<x - C(t), C'(t)>| in exact rational arithmetic."""
+    P = [[Fraction(v) for v in row] for row in P]
+    t = Fraction(t)
+    s = 1 - t
+    b = [s**3, 3 * s * s * t, 3 * s * t * t, t**3]
+    db = [3 * s * s, 6 * s * t, 3 * t * t]
+    g = sum(
+        (Fraction(x[j]) - sum(b[i] * P[i][j] for i in range(4)))
+        * sum(db[i] * (P[i + 1][j] - P[i][j]) for i in range(3))
+        for j in range(len(x)))
+    return abs(float(g))
+
+
+class TestExactness:
+    @pytest.fixture(scope="class")
+    def published(self):
+        """The published curve in the bundled table's normalized units, and
+        the bundled rows with every cell times exp(N(0, 0.1^2))."""
+        nt = normalize(load_bundled_table())
+        P = apply_transform(published_control_points(), nt.transform)
+        return curve(P), nt.source.values, nt.transform
+
+    def test_feet_are_roots_to_working_precision(self, published):
+        c, raw, transform = published
+        rng = np.random.default_rng(901)
+        picks = raw[rng.integers(0, len(raw), 200)]
+        xs = apply_transform(
+            picks * np.exp(rng.normal(0.0, 0.1, size=picks.shape)), transform)
+        ts, _, _ = project_points(c, xs)
+        inner = (ts > 0.0) & (ts < 1.0)
+        assert inner.sum() > 150
+        worst = max(exact_foot_residual(c.control_points, x, t)
+                    for x, t in zip(xs[inner], ts[inner]))
+        assert worst <= 1e-14
+
+    def test_memory_is_linear_in_the_batch(self, published):
+        c, _, _ = published
+        xs = np.random.default_rng(3).uniform(size=(100_000, 4))
+        tracemalloc.start()
+        try:
+            project_points(c, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestScore:
