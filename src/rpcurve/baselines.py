@@ -42,9 +42,9 @@ from .fitting import (
     first_principal_axis,
     make_ranking,
 )
+from .resources import REFERENCE_NAME
 
 EPSILON = 1e-9  # floor of the shifted values the geometric/entropy ranks log
-REFERENCE_NAME = "elmap-reference"  # the published scores' column name
 
 
 def _oriented_normalized(table: IndicatorTable) -> np.ndarray:

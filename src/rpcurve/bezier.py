@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .data import NormalizationTransform, denormalize_point
 from .errors import (
@@ -156,6 +155,8 @@ def _critical_points(coeffs: np.ndarray) -> np.ndarray:
     largest are dropped first: the companion matrix would divide by them,
     and the roots they add lie far outside [0, 1], so clip to an end that
     is a candidate already."""
+    from numpy.polynomial import polynomial as npoly
+
     der = npoly.polyder(coeffs)
     mags = np.abs(der)
     kept = np.flatnonzero(mags > np.finfo(float).eps * mags.max())
@@ -195,6 +196,8 @@ def speed_extremes(curve: RankingCurve) -> tuple[float, float, float]:
     precision even where it is a multiple root of the quartic's derivative
     (a stopping point on a straight curve).  Speeds come from de Casteljau.
     """
+    from numpy.polynomial import polynomial as npoly
+
     coeffs = _power_coefficients(curve.control_points)
     hodograph = npoly.polyder(coeffs)
     speed_sq = sum(np.convolve(col, col) for col in hodograph.T)
@@ -215,6 +218,8 @@ def nonlinearity_index(curve: RankingCurve) -> float:
     the control points are collinear (with ordered parameterization);
     invariant under uniform scaling of the control points.
     """
+    from numpy.polynomial import polynomial as npoly
+
     pts = curve.control_points
     chord = pts[3] - pts[0]
     length = float(np.linalg.norm(chord))
@@ -241,6 +246,8 @@ def classify_shape(curve: RankingCurve, dim_x: int, dim_y: int) -> ShapeClass:
     ReverseS; deviation within ``LINEAR_SHAPE_TOL`` of the chord length is
     Linear.
     """
+    from numpy.polynomial import polynomial as npoly
+
     mx = is_monotone(curve, dim_x)
     my = is_monotone(curve, dim_y)
     if Monotonicity.NOT_MONOTONE in (mx, my):

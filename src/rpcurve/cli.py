@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from . import baselines, evaluation
 from .bezier import evaluate
 from .data import (
     BUNDLED_PROVENANCE,
@@ -37,32 +36,33 @@ from .errors import (
     TooFewItems,
 )
 from .fitting import fit_table, load_curve, rank, save_fit
+from .resources import REFERENCE_NAME as REFERENCE_TOKEN
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_FIT_FAILURE = 3
 
-# method token -> pipeline factory, in the order the help text lists them
+# method token -> pipeline factory over rpcurve.evaluation, in the order the
+# help text lists them; only the commands that run a pipeline import it
 _PIPELINES = {
-    "rpc": evaluation.rpc_pipeline,
-    "arithmetic": lambda: evaluation.arithmetic_pipeline(variant="raw"),
-    "arithmetic-norm": lambda: evaluation.arithmetic_pipeline(
-        variant="normalized"
-    ),
-    "geometric": lambda: evaluation.geometric_pipeline(variant="normalized"),
-    "geometric-raw": lambda: evaluation.geometric_pipeline(variant="raw"),
-    "pca": evaluation.pca_pipeline,
-    "entropy": evaluation.entropy_pipeline,
+    "rpc": lambda ev: ev.rpc_pipeline(),
+    "arithmetic": lambda ev: ev.arithmetic_pipeline(variant="raw"),
+    "arithmetic-norm": lambda ev: ev.arithmetic_pipeline(variant="normalized"),
+    "geometric": lambda ev: ev.geometric_pipeline(variant="normalized"),
+    "geometric-raw": lambda ev: ev.geometric_pipeline(variant="raw"),
+    "pca": lambda ev: ev.pca_pipeline(),
+    "entropy": lambda ev: ev.entropy_pipeline(),
 }
 PIPELINE_TOKENS = tuple(_PIPELINES)
-REFERENCE_TOKEN = baselines.REFERENCE_NAME
 
 
-def _pipeline_for(token: str) -> evaluation.RankingPipeline:
+def _pipeline_for(token: str):
+    from . import evaluation
+
     if token not in _PIPELINES:
         raise RankingError(f"unknown method {token!r}")
-    return _PIPELINES[token]()
+    return _PIPELINES[token](evaluation)
 
 
 def _load_inputs(data_path: str, schema_path: str) -> IndicatorTable:
@@ -118,6 +118,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import evaluation
+
     table = _load_inputs(args.data, args.schema)
     pipeline = _pipeline_for(args.method)
     report = evaluation.audit(pipeline, table)
@@ -126,6 +128,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import baselines
+
     table = _load_inputs(args.data, args.schema)
     tokens = [t.strip() for t in args.methods.split(",") if t.strip()]
     if not tokens:

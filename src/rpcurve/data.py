@@ -111,11 +111,12 @@ class IndicatorTable:
                 f"non-finite value for item {self.item_ids[i]!r}, "
                 f"indicator {self.indicator_names[j]!r}"
             )
-        for j, name in enumerate(self.indicator_names):
-            if np.unique(vals[:, j]).size < 2:
-                raise ConstantColumn(
-                    f"indicator {name!r} is constant across all items"
-                )
+        constant = vals.min(axis=0) == vals.max(axis=0)
+        if constant.any():
+            name = self.indicator_names[int(constant.argmax())]
+            raise ConstantColumn(
+                f"indicator {name!r} is constant across all items"
+            )
         object.__setattr__(self, "values", _readonly(vals))
 
     @property
@@ -166,6 +167,19 @@ class NormalizationTransform:
             "maxs": self.maxs.tolist(),
         }
 
+    def check_spread(self) -> None:
+        """SpreadOverflow naming the first indicator whose ``max - min``
+        is not finite, a range too wide to scale."""
+        with np.errstate(over="ignore"):
+            spread = self.maxs - self.mins
+        for name, lo, hi, width in zip(self.indicator_names, self.mins,
+                                       self.maxs, spread):
+            if not np.isfinite(width):
+                raise SpreadOverflow(
+                    f"indicator {name!r} spans {float(lo)!r} to "
+                    f"{float(hi)!r}, a range too wide to scale"
+                )
+
     @classmethod
     def from_dict(cls, d: Mapping) -> "NormalizationTransform":
         return cls(
@@ -198,17 +212,78 @@ def load_schema(path) -> dict[str, Orientation]:
     return {str(k): Orientation.parse(v) for k, v in raw.items()}
 
 
+def _csv_rows(text: str) -> list[tuple[int, list[str]]]:
+    """``(file line, fields)`` of each non-blank row, as :mod:`csv` reads
+    them from a file opened with ``newline=""``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    return [(reader.line_num, row) for row in reader if row]
+
+
+def _plain_lines(text: str) -> list[str] | None:
+    """The non-blank lines of ``text``, line ends dropped, if :mod:`csv`
+    would split each of them exactly at its commas, else None."""
+    if '"' in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    # csv.reader then ends lines only at "\n" or "\r\n" (str.splitlines
+    # would also break at "\x1c", "\x85", ...) and skips the empty ones; a
+    # field over its size limit is left for it to reject
+    lines = list(filter(None, text.split("\n")))
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    return lines
+
+
+def _parse_plain(body: list[str], width: int, commas: int):
+    """Values of ``body``, lines of ``width`` comma-separated fields holding
+    ``commas`` commas in all, parsed by one ``np.loadtxt`` call; None
+    unless every line has ``width`` fields and every cell is finite."""
+    if commas != (width - 1) * len(body):
+        return None
+    try:
+        values = np.loadtxt(body, delimiter=",", usecols=range(1, width),
+                            dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # loadtxt read every line (it drops none here) and found no line short
+    # of ``width`` fields; the comma count then leaves none with more
+    if values.shape[0] != len(body) or not np.isfinite(values).all():
+        return None
+    return values
+
+
 def _read_csv(path, expected):
     """Ids, indicator names (in header order) and parsed values of
     ``id,<ind1>,...`` CSV rows whose header holds exactly the names in
     ``expected``, in any order.  Fully blank lines are skipped; messages
-    name a row by its file line."""
+    name a row by its file line.
+
+    The file is read once as text and parsed by one of two paths, which
+    give the same ids and value bytes wherever both run:
+
+    * one ``np.loadtxt`` call, when the text holds no ``"`` and no ``\\r``
+      outside ``\\r\\n`` line ends (so :mod:`csv` would split each line
+      exactly at its commas), every row has as many fields as the header,
+      and every cell parses to a finite value;
+    * otherwise :mod:`csv` rows parsed cell by cell with ``float()``: the
+      only path that reads quoted fields or lone ``\\r`` line ends, parses
+      the cells numpy refuses but ``float()`` accepts (``1_0``, non-ASCII
+      digits), and names a fault by its file line.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if row]
-    if len(rows) < 2:
+        content = fh.read()
+    lines = _plain_lines(content)
+    if lines is None:
+        rows = _csv_rows(content)
+        heads = [row for _, row in rows[:2]]
+    else:
+        heads = [line.split(",") for line in lines[:2]]
+    if len(heads) < 2:
         raise SchemaError(f"{path}: no data rows")
-    header = [h.strip() for h in rows[0][1]]
+    header = [h.strip() for h in heads[0]]
     if not header or header[0] != "id":
         raise SchemaError(f"{path}: first header column must be 'id'")
     names = header[1:]
@@ -227,22 +302,20 @@ def _read_csv(path, expected):
                 f"expected indicator {name!r} is absent from {path}"
             )
 
-    body = rows[1:]
     width = len(header)
-    if all(len(row) == width for _, row in body):
-        try:
-            values = np.array([row[1:] for _, row in body], dtype=float)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(values).all():
-                return (tuple(row[0].strip() for _, row in body),
-                        tuple(names), values)
+    if lines is not None:
+        body = lines[1:]
+        values = _parse_plain(body, width,
+                              content.count(",") - lines[0].count(","))
+        if values is not None:
+            return (tuple(line.partition(",")[0].strip() for line in body),
+                    tuple(names), values)
+        rows = _csv_rows(content)
     # Cell by cell, in row-major order: names the first faulty cell, and
     # parses any cell that numpy refuses but float() accepts.
     ids: list[str] = []
     data: list[list[float]] = []
-    for lineno, row in body:
+    for lineno, row in rows[1:]:
         if len(row) < width:
             raise MissingCell(
                 f"{path}:{lineno}: expected {width} fields, got {len(row)}"
@@ -325,15 +398,7 @@ def normalize(table: IndicatorTable) -> NormalizedTable:
         mins=table.values.min(axis=0),
         maxs=table.values.max(axis=0),
     )
-    with np.errstate(over="ignore"):
-        spread = transform.maxs - transform.mins
-    for name, lo, hi, width in zip(table.indicator_names, transform.mins,
-                                   transform.maxs, spread):
-        if not np.isfinite(width):
-            raise SpreadOverflow(
-                f"indicator {name!r} spans {float(lo)!r} to {float(hi)!r}, "
-                f"a range too wide to scale"
-            )
+    transform.check_spread()
     return NormalizedTable(
         source=table,
         values=apply_transform(table.values, transform),

@@ -59,6 +59,7 @@ from .errors import (
     DegenerateCurve,
     DegenerateParameterSpread,
     DomainError,
+    SpreadOverflow,
     TooFewItems,
     TransformMismatch,
 )
@@ -386,7 +387,7 @@ def load_curve(path) -> RankingCurve:
     that :func:`save_fit` wrote.  BadCurveFile if the file lacks or garbles
     the ``curve`` or ``transform`` entry, if its control points do not form
     a curve (not 4 x d, not finite, or P0 = P3), or if the transform does
-    not fit the control points."""
+    not fit the control points or has a spread too wide to scale."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
@@ -404,4 +405,8 @@ def load_curve(path) -> RankingCurve:
         raise BadCurveFile(f"{path}: transform and curve dims differ")
     if not np.all(transform.maxs > transform.mins):
         raise BadCurveFile(f"{path}: transform has a max <= its min")
+    try:
+        transform.check_spread()
+    except SpreadOverflow as exc:
+        raise BadCurveFile(f"{path}: {exc}") from None
     return curve

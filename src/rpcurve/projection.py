@@ -51,7 +51,6 @@ O(n * d).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from math import comb
@@ -298,6 +297,8 @@ def project_points(curve: RankingCurve, points: np.ndarray, workers: int = 1):
     if workers <= 1 or len(blocks) == 1:
         parts = [project(b) for b in blocks]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             parts = list(pool.map(project, blocks))
     if len(parts) == 1:

@@ -1,6 +1,7 @@
 """End-to-end command-line runs through main(argv)."""
 
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -282,6 +283,25 @@ def test_curve_file_without_transform_exits_2(workdir, tmp_path, capsys,
     assert "needs 'curve' and 'transform'" in capsys.readouterr().err
 
 
+def test_overflowing_curve_transform_exits_2(workdir, tmp_path, capsys):
+    # a saved spread too wide to scale is refused, not scored as zeros
+    payload = json.loads(workdir["fit"].read_text())
+    payload["transform"]["mins"][0] = -1e308
+    payload["transform"]["maxs"][0] = 1e308
+    curve = tmp_path / "huge.json"
+    curve.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "rank.csv"
+    code = main([
+        "rank", "--data", str(workdir["data"]), "--curve", str(curve),
+        "--out", str(out),
+    ])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {curve}: indicator 'inc' spans ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["rank", "plotdata"])
 @pytest.mark.parametrize("edit, fault", [
     (lambda cp: cp[:3], "4 x d"),
@@ -488,6 +508,52 @@ def test_cli_import_leaves_scipy_unloaded():
     # scipy costs about a second to import, and only the tests use it
     out = _run_python("import sys, rpcurve.cli; print('scipy' in sys.modules)")
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_unused_modules_unloaded():
+    # the audit, the baselines, the thread pool and numpy.polynomial load
+    # only in the commands and functions that use them
+    out = _run_python(
+        "import sys, rpcurve.cli; print(sorted(m for m in sys.argv[1:] "
+        "if m in sys.modules))",
+        "rpcurve.evaluation", "rpcurve.baselines", "concurrent.futures",
+        "numpy.polynomial",
+    )
+    assert out.stdout.strip() == "[]"
+
+
+# the package's exported names, each defined in one of its modules
+EXPORTED = """
+Comparison arithmetic_mean_rank compare elmap_reference_scores
+entropy_weight_rank geometric_mean_rank pca_rank published_control_points
+published_curve_orders published_curve_scores BestEnd Monotonicity
+RankingCurve ShapeClass classify_shape curve_from_dict curve_to_dict
+derivative evaluate is_monotone nonlinearity_index IndicatorTable
+NormalizationTransform NormalizedTable Orientation ScoringRows
+denormalize_point load_bundled_table load_rows load_schema load_table
+normalize Criterion CriterionResult MetaCriteriaReport RankingPipeline
+Verdict arithmetic_pipeline audit entropy_pipeline geometric_pipeline
+pca_pipeline replay_witness rpc_pipeline FitConfig FitReport RankingResult
+fit fit_table init_curve load_curve rank save_fit ProjectionResult
+project_point project_points score score_from_t
+""".split()
+
+
+def test_package_exports_resolve_on_first_use():
+    # a fresh interpreter lists every name before any has been looked up
+    out = _run_python(
+        "import sys, rpcurve; "
+        "print(sorted(set(sys.argv[1:]) - set(dir(rpcurve))))",
+        *EXPORTED,
+    )
+    assert out.stdout.strip() == "[]"
+    assert sorted(rpcurve.__all__) == sorted(EXPORTED)
+    for name in EXPORTED:
+        value = getattr(rpcurve, name)
+        home = importlib.import_module(value.__module__)
+        assert getattr(home, name) is value
+    with pytest.raises(AttributeError):
+        rpcurve.no_such_name
 
 
 BLOCK_SCIPY = """

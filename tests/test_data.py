@@ -1,10 +1,13 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rpcurve import data
 from rpcurve.data import (
     IndicatorTable,
     NormalizationTransform,
@@ -215,6 +218,114 @@ class TestCsvParse:
             load(p)
         assert type(exc.value) is error
         assert str(exc.value) == message.format(p=p)
+
+
+# Pieces of CSV text for the differential test: number parts, whitespace
+# that float() strips (numpy refuses some), digits only float() reads, the
+# non-finite words, and the characters csv treats specially.
+CELL_PARTS = st.sampled_from([
+    *"0123456789", "+", "-", ".", "e", "_",
+    " ", "\t", "\x1c", "\u3000",
+    "\u0661", "\u0663", "\uff11", "\uff15",
+    "nan", "inf", '"', ",", "\r",
+])
+
+
+@st.composite
+def csv_texts(draw):
+    """``id,a,b`` CSV text: cells mostly formatted doubles with padding,
+    else strings of CELL_PARTS; rows mostly of three fields; mostly
+    ``\\n`` or ``\\r\\n`` line ends; blank lines anywhere."""
+    number = st.builds(
+        lambda pad, v, fmt, end: pad + (fmt % v) + end,
+        PAD, st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(["%r", "%.17g", "%.5e", "%8.3f"]), PAD,
+    )
+    junk = st.lists(CELL_PARTS, max_size=5).map("".join)
+    cell = st.integers(0, 9).flatmap(lambda k: junk if k == 0 else number)
+    ends = st.sampled_from(["\n"] * 6 + ["\r\n"] * 3 + ["\r"])
+    lines = [draw(st.sampled_from(["id,a,b"] * 4 + [" id , b,a", "id,a,b,"]))]
+    for i in range(draw(st.integers(1, 5))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+        width = draw(st.sampled_from([3] * 8 + [2, 4]))
+        lines.append(",".join([draw(PAD) + f"r{i}"] + draw(st.lists(
+            cell, min_size=width - 1, max_size=width - 1))))
+    return "".join(line + draw(ends) for line in lines) + draw(
+        st.sampled_from(["", "\n", "\n\n"]))
+
+
+def read_both(path):
+    """``_read_csv`` of ``path`` as it runs, and through the csv.reader
+    path alone: each its (ids, names, value bytes) or its error."""
+
+    def outcome():
+        try:
+            ids, names, values = data._read_csv(path, {"a", "b"})
+        except Exception as exc:  # the error is the outcome
+            return type(exc), str(exc)
+        return ids, names, values.dtype, values.shape, values.tobytes()
+
+    got = outcome()
+    with mock.patch.object(data, "_plain_lines", lambda text: None):
+        return got, outcome()
+
+
+class TestTwoParsePaths:
+    @settings(max_examples=400, deadline=None)
+    @given(csv_texts())
+    @example("id,a,b\nx,1_0,\u0661\ny,\x1c2,\uff13\n")
+    @example("id,a,b\r\nx,1,2\r\n\r\ny,3,4\r\n")
+    @example("id,a,b\nx,1,2\ny,3,4,\n")
+    @example("id,a,b\nx,1,2,5\ny,3\n")
+    def test_same_result_as_csv_reader(self, csv_path, text):
+        csv_path.write_text(text, encoding="utf-8", newline="")
+        got, want = read_both(csv_path)
+        assert got == want
+
+    @pytest.mark.parametrize("text,ids,values", [
+        ('id,a,b\n"Korea, Rep.",1,2\nx,3,4\n', ("Korea, Rep.", "x"),
+         [[1, 2], [3, 4]]),
+        ("id,a,b\r\nx,1,2\r\ny,3,4\r\n", ("x", "y"), [[1, 2], [3, 4]]),
+        ("id,a,b\nx,1,2\ny,3,4\n\n\n", ("x", "y"), [[1, 2], [3, 4]]),
+        ("id,a,b\nx,1_000,2\ny,3,4\n", ("x", "y"), [[1000, 2], [3, 4]]),
+    ], ids=["quoted-comma-id", "crlf", "trailing-blank-lines", "underscore"])
+    def test_cases(self, tmp_path, text, ids, values):
+        p = write_csv(tmp_path, text)
+        got, want = read_both(p)
+        assert got == want
+        assert got[0] == ids
+        assert got[4] == np.array(values, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "id,a,b\nx,1,2\n\ny, 3 ,\t4e0\n",
+        "id,a,b\r\nx,1,2\r\ny,3,4\r\n",
+    ], ids=["lf", "crlf"])
+    def test_plain_text_skips_csv_reader(self, tmp_path, text):
+        p = write_csv(tmp_path, text)
+        with mock.patch.object(data, "_csv_rows", side_effect=AssertionError):
+            rows = load_rows(p, ["a", "b"])
+        assert rows.item_ids == ("x", "y")
+        assert rows.values.tolist() == [[1, 2], [3, 4]]
+
+    def test_load_rows_peak_memory(self, tmp_path):
+        # 10^5 rows of four repr-ed doubles, an 8 MB file: the text, its
+        # lines and the ids, not a list of lists of cell strings
+        rng = np.random.default_rng(5)
+        values = rng.lognormal(3.0, 2.0, size=(100_000, 4))
+        p = tmp_path / "big.csv"
+        p.write_text("id,a,b,c,d\n" + "".join(
+            f"item{i:06d},{a!r},{b!r},{c!r},{d!r}\n"
+            for i, (a, b, c, d) in enumerate(values.tolist())
+        ), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            rows = load_rows(p, ["a", "b", "c", "d"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.values.tobytes() == values.tobytes()
+        assert peak < 40e6
 
 
 class TestLoadRows:

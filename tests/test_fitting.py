@@ -345,6 +345,24 @@ class TestPersistence:
         with pytest.raises(BadCurveFile):
             load_curve(path)
 
+    def test_load_rejects_overflowing_spread(self, make_table, tmp_path):
+        # max > min holds, but max - min overflows to inf
+        t = line_table(make_table, n=30, d=3, noise=0.05, seed=19)
+        curve, report = fit_table(t)
+        path = tmp_path / "fit.json"
+        save_fit(path, curve, report, rank(t, curve))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["transform"]["mins"][0] = -1e308
+        payload["transform"]["maxs"][0] = 1e308
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        name = payload["transform"]["indicator_names"][0]
+        with pytest.raises(BadCurveFile) as exc:
+            load_curve(path)
+        assert str(exc.value) == (
+            f"{path}: indicator {name!r} spans -1e+308 to 1e+308, a range "
+            f"too wide to scale"
+        )
+
     @pytest.mark.parametrize("strip", [
         lambda p: {k: v for k, v in p.items() if k != "transform"},
         lambda p: {k: v for k, v in p.items() if k != "curve"},
