@@ -29,14 +29,11 @@ _EXPORTS = {
         "BestEnd",
         "Monotonicity",
         "RankingCurve",
-        "ShapeClass",
-        "classify_shape",
         "curve_from_dict",
         "curve_to_dict",
         "derivative",
         "evaluate",
         "is_monotone",
-        "nonlinearity_index",
     ),
     "data": (
         "IndicatorTable",
@@ -80,7 +77,6 @@ _EXPORTS = {
         "ProjectionResult",
         "project_point",
         "project_points",
-        "score",
         "score_from_t",
     ),
 }

@@ -7,28 +7,21 @@ A ranking curve is a d-dimensional cubic Bezier segment,
 with exactly four control points, evaluated through the recursive
 de Casteljau construction.  One end of the parameter interval is tagged as
 the "best" end; projection parameters are turned into scores against that
-tag.  The diagnostics below (monotonicity, speed extremes, nonlinearity
-index, shape class) are all closed-form: the derivative of each coordinate
-is a quadratic in t, and the squared speed and the chord deviation are
-low-degree polynomials, so no sampling is needed for exact verdicts.
+tag.  The diagnostics below (monotonicity, speed extremes) are closed-form:
+the derivative of each coordinate is a quadratic in t and the squared
+speed a quartic, so no sampling is needed for exact verdicts.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .data import NormalizationTransform, denormalize_point
-from .errors import (
-    DegenerateChord,
-    DegenerateCurve,
-    DomainError,
-    NotMonotoneInPair,
-)
+from .errors import DegenerateCurve, DomainError
 
 
 class BestEnd(enum.Enum):
@@ -40,17 +33,6 @@ class Monotonicity(enum.Enum):
     STRICTLY_INCREASING = "strictly-increasing"
     STRICTLY_DECREASING = "strictly-decreasing"
     NOT_MONOTONE = "not-monotone"
-
-
-class ShapeClass(enum.Enum):
-    LINEAR = "linear"
-    C = "c"
-    REVERSE_C = "reverse-c"
-    S = "s"
-    REVERSE_S = "reverse-s"
-
-
-LINEAR_SHAPE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -82,15 +64,6 @@ class RankingCurve:
     @property
     def dim(self) -> int:
         return self.control_points.shape[1]
-
-    def reversed(self) -> "RankingCurve":
-        """Same geometry traversed backwards (t -> 1 - t)."""
-        flipped = {BestEnd.AT_T0: BestEnd.AT_T1, BestEnd.AT_T1: BestEnd.AT_T0}
-        return RankingCurve(
-            control_points=self.control_points[::-1].copy(),
-            best_end=flipped[self.best_end],
-            transform=self.transform,
-        )
 
 
 def _check_t(t) -> np.ndarray:
@@ -208,84 +181,6 @@ def speed_extremes(curve: RankingCurve) -> tuple[float, float, float]:
     speeds = np.linalg.norm(derivative(curve, ts), axis=1)
     k = int(np.argmin(speeds))
     return float(ts[k]), float(speeds[k]), float(speeds.max())
-
-
-def nonlinearity_index(curve: RankingCurve) -> float:
-    """Peak orthogonal deviation from the P0-P3 chord over chord length.
-
-    The squared deviation is a degree-6 polynomial in t, so the maximum is
-    located exactly through the roots of its degree-5 derivative.  Zero iff
-    the control points are collinear (with ordered parameterization);
-    invariant under uniform scaling of the control points.
-    """
-    from numpy.polynomial import polynomial as npoly
-
-    pts = curve.control_points
-    chord = pts[3] - pts[0]
-    length = float(np.linalg.norm(chord))
-    if length == 0.0:
-        raise DegenerateChord("chord P0-P3 has zero length")
-    u = chord / length
-    rel = pts - pts[0]
-    coeffs = _power_coefficients(rel)  # cubic coefficients of C(t) - P0
-    perp = coeffs - np.outer(coeffs @ u, u)
-    sq = sum(np.convolve(col, col) for col in perp.T)
-    peak = float(npoly.polyval(_critical_points(sq), sq).max())
-    return math.sqrt(max(peak, 0.0)) / length
-
-
-def classify_shape(curve: RankingCurve, dim_x: int, dim_y: int) -> ShapeClass:
-    """Classify the (dim_x, dim_y) profile as one of the five shapes.
-
-    Both dimensions must be strictly monotone.  The curve restricted to the
-    pair is traversed with x increasing; its signed deviation from the
-    chord factors as s(t) = 3 t (1-t) [(1-t) c1 + t c2] where c1, c2 are
-    cross products of the interior control points against the chord.
-    Convention: single-signed deviation above the chord is C, below is
-    ReverseC; below-then-above (sigmoid-like) is S, above-then-below is
-    ReverseS; deviation within ``LINEAR_SHAPE_TOL`` of the chord length is
-    Linear.
-    """
-    from numpy.polynomial import polynomial as npoly
-
-    mx = is_monotone(curve, dim_x)
-    my = is_monotone(curve, dim_y)
-    if Monotonicity.NOT_MONOTONE in (mx, my):
-        raise NotMonotoneInPair(
-            f"dimensions ({dim_x}, {dim_y}) have verdicts "
-            f"({mx.value}, {my.value}); both must be strictly monotone"
-        )
-    q = curve.control_points[:, [dim_x, dim_y]]
-    if q[3, 0] < q[0, 0]:
-        q = q[::-1]
-    chord = q[3] - q[0]
-    length_sq = float(chord @ chord)
-    if length_sq == 0.0:
-        raise DegenerateChord("pair chord has zero length")
-
-    def cross(v: np.ndarray) -> float:
-        return float(chord[0] * v[1] - chord[1] * v[0])
-
-    c1 = cross(q[1] - q[0])
-    c2 = cross(q[2] - q[0])
-
-    # max |3 t (1-t) ((1-t) c1 + t c2)| over [0, 1], exact via the quadratic
-    # roots of the cubic's derivative
-    cubic = np.array([0.0, 3.0 * c1, 3.0 * (c2 - 2.0 * c1), 3.0 * (c1 - c2)])
-    peak = float(np.abs(npoly.polyval(_critical_points(cubic), cubic)).max())
-    if peak / length_sq <= LINEAR_SHAPE_TOL:
-        return ShapeClass.LINEAR
-
-    zero_tol = LINEAR_SHAPE_TOL * length_sq
-    s1 = 0 if abs(c1) <= zero_tol else (1 if c1 > 0 else -1)
-    s2 = 0 if abs(c2) <= zero_tol else (1 if c2 > 0 else -1)
-    if s1 >= 0 and s2 >= 0:
-        return ShapeClass.C
-    if s1 <= 0 and s2 <= 0:
-        return ShapeClass.REVERSE_C
-    if s1 < 0 < s2:
-        return ShapeClass.S
-    return ShapeClass.REVERSE_S
 
 
 def curve_to_dict(curve: RankingCurve) -> dict:

@@ -127,12 +127,6 @@ class IndicatorTable:
     def n_indicators(self) -> int:
         return self.values.shape[1]
 
-    def indicator_index(self, name: str) -> int:
-        try:
-            return self.indicator_names.index(name)
-        except ValueError:
-            raise UnknownIndicator(f"no indicator named {name!r}") from None
-
     def with_values(self, values: np.ndarray) -> "IndicatorTable":
         """Same items/indicators/orientations with replaced cell values."""
         return IndicatorTable(
@@ -212,11 +206,15 @@ def load_schema(path) -> dict[str, Orientation]:
     return {str(k): Orientation.parse(v) for k, v in raw.items()}
 
 
-def _csv_rows(text: str) -> list[tuple[int, list[str]]]:
+def _csv_rows(path, text: str) -> list[tuple[int, list[str]]]:
     """``(file line, fields)`` of each non-blank row, as :mod:`csv` reads
-    them from a file opened with ``newline=""``."""
+    them from a file opened with ``newline=""``; SchemaError naming the
+    file line where :mod:`csv` gives up (a field over its size limit)."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    return [(reader.line_num, row) for row in reader if row]
+    try:
+        return [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _plain_lines(text: str) -> list[str] | None:
@@ -277,7 +275,7 @@ def _read_csv(path, expected):
         content = fh.read()
     lines = _plain_lines(content)
     if lines is None:
-        rows = _csv_rows(content)
+        rows = _csv_rows(path, content)
         heads = [row for _, row in rows[:2]]
     else:
         heads = [line.split(",") for line in lines[:2]]
@@ -310,7 +308,7 @@ def _read_csv(path, expected):
         if values is not None:
             return (tuple(line.partition(",")[0].strip() for line in body),
                     tuple(names), values)
-        rows = _csv_rows(content)
+        rows = _csv_rows(path, content)
     # Cell by cell, in row-major order: names the first faulty cell, and
     # parses any cell that numpy refuses but float() accepts.
     ids: list[str] = []

@@ -55,15 +55,6 @@ class DegenerateCurve(RankingError):
     coordinates, or coincident endpoints where forbidden)."""
 
 
-class DegenerateChord(RankingError):
-    """The chord between the curve endpoints has zero length."""
-
-
-class NotMonotoneInPair(RankingError):
-    """Shape classification requested for a dimension pair in which the
-    curve is not monotone."""
-
-
 class TooFewItems(RankingError):
     """Not enough items for the requested operation."""
 

@@ -459,8 +459,19 @@ def _run_bytes(run: PipelineRun) -> tuple:
     return run.ranking.scores.tobytes(), run.ranking.orders.tobytes(), curve
 
 
+def _rerun_difference(base: PipelineRun, rerun: PipelineRun) -> dict | None:
+    """None when the rerun's bytes equal the base run's, else the witness:
+    the orders of both runs."""
+    if _run_bytes(base) == _run_bytes(rerun):
+        return None
+    return {
+        "orders_run1": base.orders.tolist(),
+        "orders_run2": rerun.orders.tolist(),
+    }
+
+
 def _no_free_parameters(
-    pipeline: RankingPipeline, base: PipelineRun, rerun: PipelineRun
+    pipeline: RankingPipeline, base: PipelineRun, difference: dict | None
 ) -> CriterionResult:
     if pipeline.declared_free_parameters:
         return CriterionResult(
@@ -482,15 +493,12 @@ def _no_free_parameters(
             f"{base.curve.control_points.size} fitted parameters = "
             f"4 x {base.curve.dim}"
         )
-    if _run_bytes(base) != _run_bytes(rerun):
+    if difference is not None:
         return CriterionResult(
             criterion=Criterion.NO_FREE_PARAMETERS,
             verdict=Verdict.FAIL,
             evidence="repeated runs are not bit-identical",
-            witness={
-                "orders_run1": base.orders.tolist(),
-                "orders_run2": rerun.orders.tolist(),
-            },
+            witness=difference,
         )
     notes.append("repeated runs bit-identical")
     return CriterionResult(
@@ -500,16 +508,8 @@ def _no_free_parameters(
     )
 
 
-def check_no_free_parameters(
-    pipeline: RankingPipeline, table: IndicatorTable
-) -> CriterionResult:
-    base = _run_trial(pipeline, table, "base run")
-    rerun = _run_trial(pipeline, table, "rerun")
-    return _no_free_parameters(pipeline, base, rerun)
-
-
-def _reproducibility(base: PipelineRun, rerun: PipelineRun) -> CriterionResult:
-    if _run_bytes(base) == _run_bytes(rerun):
+def _reproducibility(difference: dict | None) -> CriterionResult:
+    if difference is None:
         return CriterionResult(
             criterion=Criterion.REPRODUCIBILITY,
             verdict=Verdict.PASS,
@@ -519,18 +519,8 @@ def _reproducibility(base: PipelineRun, rerun: PipelineRun) -> CriterionResult:
         criterion=Criterion.REPRODUCIBILITY,
         verdict=Verdict.FAIL,
         evidence="repeated runs differ",
-        witness={
-            "orders_run1": base.orders.tolist(),
-            "orders_run2": rerun.orders.tolist(),
-        },
+        witness=difference,
     )
-
-
-def check_reproducibility(
-    pipeline: RankingPipeline, table: IndicatorTable
-) -> CriterionResult:
-    base = _run_trial(pipeline, table, "base run")
-    return _reproducibility(base, _run_trial(pipeline, table, "rerun"))
 
 
 def check_open_data(
@@ -609,9 +599,10 @@ def audit(
             for c in (Criterion.NO_FREE_PARAMETERS, Criterion.REPRODUCIBILITY)
         ]
     else:
+        difference = _rerun_difference(base, rerun)
         results += [
-            _no_free_parameters(pipeline, base, rerun),
-            _reproducibility(base, rerun),
+            _no_free_parameters(pipeline, base, difference),
+            _reproducibility(difference),
         ]
     results.append(check_open_data(pipeline, table))
     return MetaCriteriaReport(pipeline=pipeline.name, results=tuple(results))

@@ -18,7 +18,7 @@ exceeds the last accepted one, the history is cleared and the plain
 update is projected instead.  A plain update that fails to lower the
 distance ends the fit, so the accepted distances never increase.  The fit
 stops when the relative change of the distance falls below
-``REL_TOL`` (1e-8) or after ``FitConfig.max_iters`` projections,
+``REL_TOL`` (1e-8) or after ``MAX_PROJECTIONS`` (200) projections,
 rejected ones included, whichever comes first.
 
 Every step is deterministic; there is no randomness anywhere, so a
@@ -69,18 +69,16 @@ DAMPING = 1e-12
 _MIN_T_SPREAD = 1e-12
 ANDERSON_WINDOW = 3  # Walker & Ni's m: differences of the last m + 1 pairs
 REL_TOL = 1e-8  # relative change of the distance below which the fit stops
+MAX_PROJECTIONS = 200  # cap on the projections of one fit, rejected ones too
 
 
 @dataclass(frozen=True)
 class FitConfig:
     """Deterministic fit settings (no seeds: nothing is random)."""
 
-    max_iters: int = 200
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be >= 1")
         if self.workers < 1:
             raise DomainError("workers must be >= 1")
 
@@ -133,10 +131,6 @@ class RankingResult:
         object.__setattr__(self, "scores", s)
         object.__setattr__(self, "orders", o)
         object.__setattr__(self, "tied", t)
-
-    @property
-    def has_ties(self) -> bool:
-        return bool(self.tied.any())
 
     def order_by_id(self) -> dict[str, int]:
         return {i: int(o) for i, o in zip(self.item_ids, self.orders)}
@@ -265,7 +259,7 @@ def _anderson_point(iterates: list, updates: list) -> np.ndarray:
 def fit(data: NormalizedTable, config: FitConfig | None = None):
     """Accelerated, safeguarded alternation; returns (RankingCurve, FitReport).
 
-    ``config.max_iters`` caps the projections, rejected ones included.
+    ``MAX_PROJECTIONS`` caps the projections, rejected ones included.
     The recorded distances are those of the accepted iterates, so they never
     increase, and the returned curve is the last accepted one.  After the
     loop the best-end convention is re-checked and each dimension gets an
@@ -294,7 +288,7 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
     keep = ANDERSON_WINDOW + 1
     stop_reason = "max_iters"
     rel = None
-    while projections < config.max_iters:
+    while projections < MAX_PROJECTIONS:
         if float(ts.max() - ts.min()) <= _MIN_T_SPREAD:
             raise DegenerateParameterSpread(
                 "all projection parameters coincide; cannot update curve"
@@ -309,7 +303,7 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
             if step[2] > total:  # safeguard: restart from the plain update
                 step, iterates, updates = None, [], []
         if step is None:
-            if projections >= config.max_iters:
+            if projections >= MAX_PROJECTIONS:
                 break
             step = project(update)
         step_total = step[2]

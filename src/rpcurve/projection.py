@@ -320,7 +320,3 @@ def score_from_t(t, best_end: BestEnd):
     tt = np.asarray(t, dtype=float)
     out = tt if best_end is BestEnd.AT_T1 else 1.0 - tt
     return float(out) if out.ndim == 0 else out
-
-
-def score(result: ProjectionResult, best_end: BestEnd) -> float:
-    return float(score_from_t(result.t, best_end))

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from rpcurve import fitting
 from rpcurve.data import IndicatorTable, Orientation, load_bundled_table
 from rpcurve.fitting import fit_table
 
@@ -40,3 +43,9 @@ def small_table(values, orientations=None, ids=None, names=None):
 @pytest.fixture
 def make_table():
     return small_table
+
+
+@pytest.fixture
+def projection_cap():
+    """``with projection_cap(n):`` fits stop after n projections."""
+    return lambda n: mock.patch.object(fitting, "MAX_PROJECTIONS", n)

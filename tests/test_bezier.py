@@ -1,4 +1,4 @@
-"""Curve evaluation, monotonicity and shape classification.
+"""Curve evaluation, monotonicity and speed extremes.
 
 The evaluator is checked against the explicit Bernstein polynomial and the
 exact monotonicity test against dense derivative sampling, so the two
@@ -18,19 +18,16 @@ from rpcurve.bezier import (
     BestEnd,
     Monotonicity,
     RankingCurve,
-    ShapeClass,
-    classify_shape,
     curve_from_dict,
     curve_to_dict,
     derivative,
     evaluate,
     is_monotone,
-    nonlinearity_index,
     second_derivative,
     speed_extremes,
     _critical_points,
 )
-from rpcurve.errors import DomainError, NotMonotoneInPair
+from rpcurve.errors import DegenerateCurve, DomainError
 
 
 def bernstein_eval(P, t):
@@ -88,15 +85,6 @@ class TestEvaluate:
             evaluate(c, 1.5)
         with pytest.raises(DomainError):
             evaluate(c, -0.01)
-
-    def test_reversed_traverses_backwards(self):
-        c = curve([[0, 5], [1, 4], [2, 3], [3, 2]])
-        r = c.reversed()
-        ts = np.linspace(0, 1, 33)
-        np.testing.assert_allclose(
-            evaluate(r, ts), evaluate(c, 1 - ts), atol=1e-12
-        )
-        assert r.best_end is not c.best_end
 
 
 class TestIsMonotone:
@@ -201,41 +189,6 @@ class TestIsMonotone:
         assert double_roots > 0
 
 
-class TestNonlinearity:
-    def test_straight_segment_is_zero(self):
-        c = curve([[0, 0], [1.0 / 3, 2.0 / 3], [2.0 / 3, 4.0 / 3], [1, 2]])
-        assert nonlinearity_index(c) <= 1e-12
-
-    def test_known_arc(self):
-        # symmetric bump: peak deviation at t=1/2 is computable by hand
-        c = curve([[0.0, 0.0], [1.0 / 3, 1.0], [2.0 / 3, 1.0], [1.0, 0.0]])
-        # chord is the x-axis, max |y| = 3/4 at t=1/2, chord length 1
-        assert abs(nonlinearity_index(c) - 0.75) < 1e-9
-
-    def test_matches_dense_search(self):
-        rng = np.random.default_rng(99)
-        ts = np.linspace(0, 1, 200001)
-        for _ in range(30):
-            P = rng.normal(size=(4, rng.integers(2, 5)))
-            c = curve(P)
-            chord = P[3] - P[0]
-            L = np.linalg.norm(chord)
-            if L < 1e-9:
-                continue
-            pts = evaluate(c, ts) - P[0]
-            along = pts @ chord / L
-            perp = np.sqrt(
-                np.maximum((pts * pts).sum(axis=1) - along**2, 0.0)
-            )
-            want = perp.max() / L
-            assert abs(nonlinearity_index(c) - want) < 1e-6
-
-    def test_coincident_endpoints_rejected_at_construction(self):
-        from rpcurve.errors import DegenerateCurve
-        with pytest.raises(DegenerateCurve):
-            curve([[0, 0], [1, 1], [-1, 1], [0, 0]])
-
-
 class TestCriticalPoints:
     # coefficients on a 1e-5 grid in [-10, 10]
     @settings(max_examples=100, deadline=None)
@@ -270,63 +223,6 @@ class TestCriticalPoints:
         t_min, slowest, fastest = speed_extremes(c)
         assert (t_min, fastest) == (0.0, 6.0)
         assert 0.0 < slowest < 1e-159
-        assert 0.0 <= nonlinearity_index(c) < 1e-160
-
-
-class TestClassifyShape:
-    def test_linear(self):
-        c = curve([[0, 0], [1.0 / 3, 1.0 / 3], [2.0 / 3, 2.0 / 3], [1, 1]])
-        assert classify_shape(c, 0, 1) is ShapeClass.LINEAR
-
-    def test_c_and_reverse_c(self):
-        above = curve([[0, 0], [0.1, 0.5], [0.5, 0.95], [1, 1]])
-        below = curve([[0, 0], [0.5, 0.05], [0.9, 0.5], [1, 1]])
-        assert classify_shape(above, 0, 1) is ShapeClass.C
-        assert classify_shape(below, 0, 1) is ShapeClass.REVERSE_C
-
-    def test_s_shapes(self):
-        s = curve([[0, 0], [0.45, 0.02], [0.55, 0.98], [1, 1]])
-        assert classify_shape(s, 0, 1) is ShapeClass.S
-        rs = curve([[0, 0], [0.05, 0.45], [0.95, 0.55], [1, 1]])
-        assert classify_shape(rs, 0, 1) is ShapeClass.REVERSE_S
-
-    def test_requires_monotone_pair(self):
-        c = curve([[0, 0], [1.5, 0.3], [-0.5, 0.6], [1, 1]])
-        with pytest.raises(NotMonotoneInPair):
-            classify_shape(c, 0, 1)
-
-    def test_orientation_of_traversal_is_x_increasing(self):
-        # same geometry traversed backwards must classify identically
-        c = curve([[0, 0], [0.1, 0.5], [0.5, 0.95], [1, 1]])
-        assert classify_shape(c.reversed(), 0, 1) is ShapeClass.C
-
-    def test_sign_against_dense_deviation(self):
-        rng = np.random.default_rng(4242)
-        ts = np.linspace(0, 1, 2001)
-        done = 0
-        while done < 60:
-            P = np.sort(rng.uniform(0, 1, size=(4, 2)), axis=0)
-            P[0] = [0, 0]
-            P[3] = [1, 1]
-            c = curve(P)
-            try:
-                got = classify_shape(c, 0, 1)
-            except NotMonotoneInPair:
-                continue
-            done += 1
-            xy = evaluate(c, ts)
-            dev = xy[:, 1] - xy[:, 0]  # chord here is y = x
-            peak = np.abs(dev).max()
-            if got is ShapeClass.LINEAR:
-                assert peak <= 2e-6 * np.sqrt(2)
-            elif got is ShapeClass.C:
-                assert dev.min() >= -1e-9
-            elif got is ShapeClass.REVERSE_C:
-                assert dev.max() <= 1e-9
-            elif got is ShapeClass.S:
-                assert dev[1] < 1e-9 and dev.max() > 0
-            else:
-                assert dev[1] > -1e-9 and dev.min() < 0
 
 
 class TestSerialization:
@@ -343,3 +239,7 @@ class TestSerialization:
             RankingCurve(
                 control_points=np.zeros((3, 2)), best_end=BestEnd.AT_T1
             )
+
+    def test_coincident_endpoints_rejected_at_construction(self):
+        with pytest.raises(DegenerateCurve):
+            curve([[0, 0], [1, 1], [-1, 1], [0, 0]])

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import rpcurve
-from rpcurve import cli
 from rpcurve.cli import (
     EXIT_CHECK_FAILED,
     EXIT_FIT_FAILURE,
@@ -21,7 +20,6 @@ from rpcurve.cli import (
     main,
 )
 from rpcurve.data import bundled_data_path, bundled_schema_path
-from rpcurve.fitting import FitConfig, fit_table
 
 
 @pytest.fixture(scope="module")
@@ -80,17 +78,14 @@ class TestFit:
         assert report["stop_reason"] == "tol"
 
     def test_projection_cap_warns_on_stderr(self, workdir, tmp_path, capsys,
-                                           monkeypatch):
-        # the CLI has no flag for the cap, so cap the fit it calls
-        monkeypatch.setattr(
-            cli, "fit_table",
-            lambda table: fit_table(table, FitConfig(max_iters=3)),
-        )
+                                           projection_cap):
+        # the CLI has no flag for the cap, so lower the fit's constant
         out = tmp_path / "fit.json"
-        code = main([
-            "fit", "--data", str(workdir["data"]),
-            "--schema", str(workdir["schema"]), "--out", str(out),
-        ])
+        with projection_cap(3):
+            code = main([
+                "fit", "--data", str(workdir["data"]),
+                "--schema", str(workdir["schema"]), "--out", str(out),
+            ])
         assert code == EXIT_OK
         captured = capsys.readouterr()
         report = json.loads(out.read_text())["report"]
@@ -139,6 +134,35 @@ class TestFit:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'inc'" in err
+
+    @pytest.mark.parametrize(
+        "command", ["fit", "rank", "check", "compare", "plotdata"]
+    )
+    def test_field_over_csv_size_limit_exits_2(self, workdir, tmp_path,
+                                               capsys, command):
+        # a quoted id of 140,000 characters, over csv's 131,072 limit
+        data = tmp_path / "long_id.csv"
+        data.write_text(
+            "id,inc,life,bad\n" + "".join(
+                f"c{i},{i},{i + 1},{9 - i}\n" for i in range(5)
+            ) + '"' + "x" * 140_000 + '",5,6,4\n',
+            encoding="utf-8",
+        )
+        schema = ["--schema", str(workdir["schema"])]
+        curve = ["--curve", str(workdir["fit"])]
+        out = ["--out", str(tmp_path / "out")]
+        args = {
+            "fit": [*schema, *out],
+            "rank": [*curve, *out],
+            "check": [*schema, "--method", "pca"],
+            "compare": [*schema, "--methods", "pca", *out],
+            "plotdata": [*curve, *out],
+        }[command]
+        code = main([command, "--data", str(data), *args])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {data}:7: field larger than field limit (131072)\n"
+        )
 
     def test_deterministic_bytes(self, workdir, tmp_path):
         # every command that writes files writes the same bytes twice
@@ -527,15 +551,15 @@ EXPORTED = """
 Comparison arithmetic_mean_rank compare elmap_reference_scores
 entropy_weight_rank geometric_mean_rank pca_rank published_control_points
 published_curve_orders published_curve_scores BestEnd Monotonicity
-RankingCurve ShapeClass classify_shape curve_from_dict curve_to_dict
-derivative evaluate is_monotone nonlinearity_index IndicatorTable
+RankingCurve curve_from_dict curve_to_dict
+derivative evaluate is_monotone IndicatorTable
 NormalizationTransform NormalizedTable Orientation ScoringRows
 denormalize_point load_bundled_table load_rows load_schema load_table
 normalize Criterion CriterionResult MetaCriteriaReport RankingPipeline
 Verdict arithmetic_pipeline audit entropy_pipeline geometric_pipeline
 pca_pipeline replay_witness rpc_pipeline FitConfig FitReport RankingResult
 fit fit_table init_curve load_curve rank save_fit ProjectionResult
-project_point project_points score score_from_t
+project_point project_points score_from_t
 """.split()
 
 

@@ -72,12 +72,6 @@ class TestIndicatorTable:
         with pytest.raises(Exception):
             make_table([[1.0, np.nan], [2.0, 3.0]])
 
-    def test_indicator_index(self, make_table):
-        t = make_table([[1, 2], [3, 4]], names=["gdp", "leb"])
-        assert t.indicator_index("leb") == 1
-        with pytest.raises(UnknownIndicator):
-            t.indicator_index("nope")
-
     def test_with_values_keeps_ids(self, make_table):
         t = make_table([[1, 2], [3, 4]])
         t2 = t.with_values(np.array([[5.0, 6.0], [7.0, 8.0]]))
@@ -161,6 +155,8 @@ LOADERS = [
     pytest.param(lambda p: load_rows(p, ["a", "b"]), id="load_rows"),
 ]
 
+LONG_ID = "y" * 140_000  # over csv.field_size_limit(), 131,072
+
 FAULTS = [
     pytest.param("id,a,b\nx,1,10\ny,2\n", MissingCell,
                  "{p}:3: expected 3 fields, got 2", id="short-row"),
@@ -187,6 +183,12 @@ FAULTS = [
     # a skipped blank line still counts: the row is named by its file line
     pytest.param("id,a,b\n\nx,1,10\ny,2\n", MissingCell,
                  "{p}:4: expected 3 fields, got 2", id="after-blank-line"),
+    pytest.param(f"id,a,b\nx,1,10\n{LONG_ID},2,20\n", SchemaError,
+                 "{p}:3: field larger than field limit (131072)",
+                 id="long-id"),
+    pytest.param(f'id,a,b\nx,1,10\n"{LONG_ID}",2,20\n', SchemaError,
+                 "{p}:3: field larger than field limit (131072)",
+                 id="long-quoted-id"),
 ]
 
 

@@ -8,19 +8,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rpcurve import evaluation
+from rpcurve.baselines import pca_rank
 from rpcurve.bezier import RankingCurve, derivative
 from rpcurve.data import IndicatorTable, Orientation
 from rpcurve.evaluation import (
     REGULARITY_TOL,
     Criterion,
+    PipelineRun,
     RankingPipeline,
     Verdict,
     arithmetic_pipeline,
     audit,
     check_linear_compatibility,
     check_monotonicity,
-    check_no_free_parameters,
-    check_reproducibility,
     check_scale_invariance,
     check_smoothness,
     check_translation_invariance,
@@ -35,6 +35,7 @@ from rpcurve.evaluation import (
     scale_vectors,
     shift_vectors,
 )
+from rpcurve.fitting import make_ranking
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,12 @@ def noisy_table():
         values=base,
         provenance="synthetic diagnostic table (generated in-test)",
     )
+
+
+@pytest.fixture(scope="module")
+def rpc_audit(noisy_table):
+    """One rpc audit of the noisy table, shared by the tests that read it."""
+    return audit(rpc_pipeline(), noisy_table, trials=2)
 
 
 class TestPerturbationVectors:
@@ -143,6 +150,45 @@ class TestLinearCompatibility:
     def test_rpc_passes(self):
         res = check_linear_compatibility(rpc_pipeline())
         assert res.verdict is Verdict.PASS
+
+    @staticmethod
+    def fixed_run(points, reverse_order=False):
+        """A pipeline that skips the fit: the given curve, and the
+        first-component ranking of the table (reversed on request)."""
+        def run(table):
+            pca = pca_rank(table)
+            scores = -pca.scores if reverse_order else pca.scores
+            ranking = make_ranking(table.item_ids, scores, "fixed")
+            return PipelineRun(ranking, RankingCurve(points))
+
+        return RankingPipeline("fixed", run)
+
+    def test_bent_curve_fails_with_its_offset(self):
+        points = np.array([[0.0, 0.0, 0.0, 0.0], [0.4, 0.1, 0.5, 0.2],
+                           [0.6, 0.9, 0.4, 0.7], [1.0, 1.0, 1.0, 1.0]])
+        res = check_linear_compatibility(self.fixed_run(points))
+        assert res.verdict is Verdict.FAIL
+        assert "order match: True" in res.evidence
+        # distance of P1 and P2 from the line P0-P3, over |P3 - P0|
+        chord = points[3] - points[0]
+        offsets = [
+            np.sqrt(v @ v - (v @ chord) ** 2 / (chord @ chord))
+            for v in points[1:3] - points[0]
+        ]
+        want = max(offsets) / np.sqrt(chord @ chord)
+        assert res.witness["residual"] == pytest.approx(want, rel=1e-12)
+        assert res.witness["curve_orders"] == res.witness["pca_orders"]
+
+    def test_straight_curve_with_reversed_order_fails(self):
+        points = np.outer([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 0.5, 4.0])
+        res = check_linear_compatibility(
+            self.fixed_run(points, reverse_order=True)
+        )
+        assert res.verdict is Verdict.FAIL
+        assert res.evidence.endswith("order match: False")
+        # straight to rounding: the order alone fails it
+        assert res.witness["residual"] <= evaluation.LINEAR_RESIDUAL_TOL
+        assert res.witness["curve_orders"] != res.witness["pca_orders"]
 
 
 def cusp_curve(c):
@@ -259,9 +305,8 @@ class TestSmoothnessProperties:
 
 
 class TestNoFreeParameters:
-    def test_rpc_counts_four_per_dimension(self, noisy_table):
-        pipe = rpc_pipeline()
-        res = check_no_free_parameters(pipe, noisy_table)
+    def test_rpc_counts_four_per_dimension(self, rpc_audit):
+        res = rpc_audit.get(Criterion.NO_FREE_PARAMETERS)
         assert res.verdict is Verdict.PASS
         assert "12 fitted parameters" in res.evidence
 
@@ -269,25 +314,26 @@ class TestNoFreeParameters:
         pipe = arithmetic_pipeline(
             weights=[0.5, 0.3, 0.2], variant="normalized"
         )
-        res = check_no_free_parameters(pipe, noisy_table)
+        res = audit(pipe, noisy_table, trials=1).get(
+            Criterion.NO_FREE_PARAMETERS
+        )
         assert res.verdict is Verdict.FAIL
+        assert res.witness == {"declared_free_parameters": ["weights"]}
 
 
 class TestReproducibility:
-    def test_rpc_repro(self, noisy_table):
-        res = check_reproducibility(rpc_pipeline(), noisy_table)
+    def test_rpc_repro(self, rpc_audit):
+        res = rpc_audit.get(Criterion.REPRODUCIBILITY)
         assert res.verdict is Verdict.PASS
 
 
 class TestAudit:
-    def test_every_criterion_reported_once(self, noisy_table):
-        report = audit(rpc_pipeline(), noisy_table, trials=2)
-        seen = [r.criterion for r in report.results]
+    def test_every_criterion_reported_once(self, rpc_audit):
+        seen = [r.criterion for r in rpc_audit.results]
         assert seen == list(Criterion)
 
-    def test_rpc_all_applicable_pass(self, noisy_table):
-        report = audit(rpc_pipeline(), noisy_table, trials=2)
-        assert report.all_applicable_pass
+    def test_rpc_all_applicable_pass(self, rpc_audit):
+        assert rpc_audit.all_applicable_pass
 
     def test_baselines_get_not_applicable_for_curve_criteria(
         self, noisy_table
@@ -306,9 +352,8 @@ class TestAudit:
         tr = report.get(Criterion.TRANSLATION_INVARIANCE)
         assert tr.verdict is Verdict.PASS
 
-    def test_render_text_mentions_each_criterion(self, noisy_table):
-        report = audit(rpc_pipeline(), noisy_table, trials=2)
-        text = report.render_text()
+    def test_render_text_mentions_each_criterion(self, rpc_audit):
+        text = rpc_audit.render_text()
         for c in Criterion:
             assert c.value in text
 

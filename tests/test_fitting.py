@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from unittest import mock
 
@@ -12,6 +13,7 @@ from rpcurve.bezier import BestEnd, Monotonicity, evaluate
 from rpcurve.data import IndicatorTable, Orientation, normalize
 from rpcurve.errors import BadCurveFile, TooFewItems, TransformMismatch
 from rpcurve.fitting import (
+    MAX_PROJECTIONS,
     REL_TOL,
     FitConfig,
     assign_orders,
@@ -63,27 +65,29 @@ def grid_tables(draw):
     )
 
 
-def counted_fit(table, config=None):
+def counted_fit(table):
     """fit_table plus the number of projections the fit made."""
     with mock.patch.object(
         fitting, "project_points", wraps=fitting.project_points
     ) as spy:
-        curve, report = fit_table(table, config)
+        curve, report = fit_table(table)
     return curve, report, spy.call_count
 
 
 class TestFitConfig:
     def test_defaults(self):
         c = FitConfig()
-        assert c.max_iters == 200
+        assert [f.name for f in dataclasses.fields(c)] == ["workers"]
+        assert MAX_PROJECTIONS == 200
         assert REL_TOL == 1e-8
         assert c.workers == 1
 
     def test_validation(self):
         with pytest.raises(Exception):
-            FitConfig(max_iters=0)
-        with pytest.raises(TypeError, match="rel_tol"):
-            FitConfig(rel_tol=1e-3)
+            FitConfig(workers=0)
+        for name in ("rel_tol", "max_iters"):
+            with pytest.raises(TypeError, match=name):
+                FitConfig(**{name: 3})
 
 
 class TestAssignOrders:
@@ -124,7 +128,6 @@ class TestAssignOrders:
         r = make_ranking(("a", "b", "c"), np.array([0.1, 0.9, 0.5]), "m")
         assert r.order_by_id()["b"] == 1
         assert r.order_by_id()["a"] == 3
-        assert not r.has_ties
         rows = r.to_rows()
         assert [row["id"] for row in rows] == ["a", "b", "c"]
 
@@ -194,18 +197,19 @@ class TestFit:
         _, dist, _ = project_points(curve, nt.values)
         assert float((dist**2).sum()) < 1e-10
 
-    def test_deterministic(self, make_table):
+    def test_deterministic(self, make_table, projection_cap):
         t = line_table(make_table, n=35, d=4, noise=0.1, seed=10)
-        cfg = FitConfig(max_iters=40)
-        c1, r1 = fit_table(t, cfg)
-        c2, r2 = fit_table(t, cfg)
+        with projection_cap(40):
+            c1, r1 = fit_table(t)
+            c2, r2 = fit_table(t)
         np.testing.assert_array_equal(c1.control_points, c2.control_points)
         assert r1.distances == r2.distances
 
-    def test_workers_do_not_change_result(self, make_table):
+    def test_workers_do_not_change_result(self, make_table, projection_cap):
         t = line_table(make_table, n=35, d=4, noise=0.1, seed=11)
-        c1, _ = fit_table(t, FitConfig(max_iters=40, workers=1))
-        c8, _ = fit_table(t, FitConfig(max_iters=40, workers=8))
+        with projection_cap(40):
+            c1, _ = fit_table(t, FitConfig(workers=1))
+            c8, _ = fit_table(t, FitConfig(workers=8))
         np.testing.assert_array_equal(c1.control_points, c8.control_points)
 
     def test_report_monotonicity_entries(self, make_table):
@@ -216,10 +220,9 @@ class TestFit:
             assert isinstance(v, Monotonicity)
 
     def test_bundled_fit_converges_by_tolerance(self, bundled_table):
-        config = FitConfig()
-        _, report, projections = counted_fit(bundled_table, config)
+        _, report, projections = counted_fit(bundled_table)
         assert report.converged and report.stop_reason == "tol"
-        assert projections < config.max_iters
+        assert projections < MAX_PROJECTIONS
         assert report.iterations == len(report.distances) <= projections
         assert 0.0 <= report.last_rel_change < REL_TOL
         assert np.all(np.diff(report.distances) <= 0.0)
@@ -227,9 +230,11 @@ class TestFit:
         assert saved["stop_reason"] == "tol"
         assert saved["last_rel_change"] == report.last_rel_change
 
-    def test_projection_cap_reports_max_iters(self, make_table):
+    def test_projection_cap_reports_max_iters(self, make_table,
+                                              projection_cap):
         t = line_table(make_table, n=40, d=3, noise=0.05, seed=8)
-        _, report, projections = counted_fit(t, FitConfig(max_iters=3))
+        with projection_cap(3):
+            _, report, projections = counted_fit(t)
         assert report.stop_reason == "max_iters"
         assert not report.converged
         assert projections == 3
@@ -237,8 +242,9 @@ class TestFit:
     @settings(max_examples=40, deadline=None)
     @given(grid_tables(), st.integers(2, 30))
     def test_distances_and_projection_cap(self, table, max_iters):
-        config = FitConfig(max_iters=max_iters)
-        _, report, projections = counted_fit(table, config)
+        # patched here: function-scoped fixtures do not mix with @given
+        with mock.patch.object(fitting, "MAX_PROJECTIONS", max_iters):
+            _, report, projections = counted_fit(table)
         assert np.all(np.diff(report.distances) <= 0.0)
         assert projections <= max_iters
         assert report.converged == (report.stop_reason == "tol")
