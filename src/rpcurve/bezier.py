@@ -7,21 +7,39 @@ A ranking curve is a d-dimensional cubic Bezier segment,
 with exactly four control points, evaluated through the recursive
 de Casteljau construction.  One end of the parameter interval is tagged as
 the "best" end; projection parameters are turned into scores against that
-tag.  The diagnostics below (monotonicity, speed extremes) are closed-form:
-the derivative of each coordinate is a quadratic in t and the squared
-speed a quartic, so no sampling is needed for exact verdicts.
+tag.  The diagnostics below (monotonicity, speed extremes) are exact, with
+no sampling: a coordinate's derivative is a quadratic in t.
+
+One isolator finds the roots on [0, 1] of polynomials of degree <= 5,
+here and in ``projection``.  It maps power coefficients to Bernstein ones
+on CELLS equal cells, where neighbours share their end coefficient so
+that a root on a node cannot slip between them, and sorts each cell by
+the convex-hull property (Bezier clipping, Sederberg & Nishita 1990; Ma &
+Hewitt 2003): no root where the coefficients share one strict sign;
+exactly one where their differences do and the ends go from + to - (the
+caller skips or negates the other way); otherwise a de Casteljau split at
+the midpoint, which after MAX_DEPTH splits (a multiple root) stands in.
+Each + to - root is solved by Newton, safeguarded by bisection, until
+its step falls below STEP_TOL.  Every operation is elementwise, so a
+root is bit-identical in any batch.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import comb
 from typing import Mapping
 
 import numpy as np
 
 from .data import NormalizationTransform, denormalize_point
 from .errors import DegenerateCurve, DomainError
+
+CELLS = 8
+MAX_DEPTH = 24  # splits of a cell before its midpoint stands in: 2**-27 wide
+NEWTON_CAP = 100  # bisection alone gets below STEP_TOL within 34 rounds
+STEP_TOL = 2.0**-36
 
 
 class BestEnd(enum.Enum):
@@ -118,23 +136,128 @@ def _power_coefficients(points: np.ndarray) -> np.ndarray:
     )
 
 
-def _critical_points(coeffs: np.ndarray) -> np.ndarray:
-    """Where the power-basis polynomial ``coeffs`` can take its extremes
-    over [0, 1]: t = 0, t = 1 and the real part of every root of its
-    derivative, clipped to [0, 1].  No root is filtered out: an extra
-    point of [0, 1] cannot overshoot the maximum or the minimum.
+def _cell_matrices() -> np.ndarray:
+    """(6, 6, CELLS): entry [i, r, k] is the r-th Bernstein coefficient of
+    t**i on the cell [k / CELLS, (k + 1) / CELLS]."""
+    deg = range(6)
+    to_bernstein = np.array(
+        [[comb(r, m) / comb(5, m) for m in deg] for r in deg])
+    h = 1.0 / CELLS
+    mats = np.stack([
+        to_bernstein @ np.array(
+            [[comb(i, m) * (k * h) ** (i - m) * h**m if m <= i else 0.0
+              for i in deg] for m in deg])
+        for k in range(CELLS)], axis=-1)  # [r, i, k]
+    mats[5, :, :-1] = mats[0, :, 1:]  # both evaluate at node (k + 1) / CELLS
+    return np.ascontiguousarray(mats.transpose(1, 0, 2))
 
-    Leading derivative coefficients below machine epsilon times the
-    largest are dropped first: the companion matrix would divide by them,
-    and the roots they add lie far outside [0, 1], so clip to an end that
-    is a candidate already."""
-    from numpy.polynomial import polynomial as npoly
 
-    der = npoly.polyder(coeffs)
-    mags = np.abs(der)
-    kept = np.flatnonzero(mags > np.finfo(float).eps * mags.max())
-    roots = npoly.polyroots(der[: kept[-1] + 1 if kept.size else 1])
-    return np.concatenate(([0.0, 1.0], np.clip(roots.real, 0.0, 1.0)))
+_CELL_MATRICES = _cell_matrices()
+
+
+def _halves(b: np.ndarray):
+    """de Casteljau split of Bernstein coefficients (6, m) at the cell
+    midpoint."""
+    left, right = [b[0]], [b[-1]]
+    while len(b) > 1:
+        b = 0.5 * (b[:-1] + b[1:])
+        left.append(b[0])
+        right.append(b[-1])
+    return np.stack(left), np.stack(right[::-1])
+
+
+def _isolate(b: np.ndarray, n: int):
+    """Brackets (rows, lo, hi, Newton start) of the + to - roots, and the
+    depth-cap midpoints (rows, t), of n polynomials' cells (6, CELLS, n)."""
+    b = b.reshape(6, CELLS * n)
+    rows = np.tile(np.arange(n), CELLS)
+    lo = np.repeat(np.arange(CELLS) / CELLS, n)
+    width = 1.0 / CELLS
+    found = []
+    for depth in range(MAX_DEPTH + 1):
+        diff = b[1:] - b[:-1]
+        live = (b.min(axis=0) <= 0.0) & (b.max(axis=0) >= 0.0)
+        dec = diff.max(axis=0) < 0.0
+        mono = dec | (diff.min(axis=0) > 0.0)
+        # a decreasing live cell with b0 = 0 has its root on its left
+        # node, which the cell before it (or the candidate t = 0) counts
+        m = np.flatnonzero(live & dec & (b[0] > 0.0))
+        # Newton starts where the control polygon crosses zero
+        i = np.count_nonzero(b[:, m] > 0.0, axis=0) - 1
+        b_i, b_j = b[i, m], b[i + 1, m]
+        start = lo[m] + width * (i + b_i / (b_i - b_j)) / 5.0
+        found.append((rows[m], lo[m], lo[m] + width, start))
+        split = live & ~mono
+        rows, lo, b = rows[split], lo[split], b[:, split]
+        if depth == MAX_DEPTH or not rows.size:
+            break
+        width *= 0.5
+        left, right = _halves(b)
+        b = np.concatenate([left, right], axis=1)
+        rows = np.concatenate([rows, rows])
+        lo = np.concatenate([lo, lo + width])
+    brackets = tuple(np.concatenate(parts) for parts in zip(*found))
+    return brackets, (rows, lo + 0.5 * width)
+
+
+
+
+def _horner(coef: np.ndarray, t: np.ndarray):
+    """g(t) and g'(t) from ascending power coefficients (6, m)."""
+    g = coef[-1]
+    gp = np.zeros_like(t)
+    for c in coef[-2::-1]:
+        gp = gp * t + g
+        g = g * t + c
+    return g, gp
+
+
+def _newton(coef, lo, hi, t):
+    """Root of each decreasing g in its bracket, g(lo) > 0 >= g(hi), by
+    Newton from the start t, safeguarded by bisection; each bracket stops
+    on its own once its step falls below STEP_TOL."""
+    out = np.empty_like(t)
+    idx = np.arange(t.size)
+    dx = dx_old = hi - lo  # step sizes, the last and the one before
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_CAP):
+            if not idx.size:
+                break
+            g, gp = _horner(coef, t)
+            pos = g > 0.0
+            lo = np.where(pos, t, lo)
+            hi = np.where(pos, hi, t)
+            tn = t - g / gp
+            size = np.abs(tn - t)
+            # nan comparisons are false, so a zero g' bisects
+            newton = (tn > lo) & (tn < hi) & (size <= 0.5 * dx_old)
+            # a Newton step this small leaves an error of order its square;
+            # a rejected one this small is rounding noise in g, so t stays
+            stay = ~newton & (size < STEP_TOL)
+            half = 0.5 * (hi - lo)
+            dx_old, dx = dx, np.where(newton, size, half)
+            done = stay | (dx < STEP_TOL)
+            t = np.where(newton, tn, np.where(stay, t, lo + half))
+            if done.any():
+                out[idx[done]] = t[done]
+                keep = ~done
+                idx, t, lo, hi = idx[keep], t[keep], lo[keep], hi[keep]
+                coef, dx, dx_old = coef[:, keep], dx[keep], dx_old[keep]
+    out[idx] = t
+    return out
+
+
+def _roots(polys: np.ndarray) -> np.ndarray:
+    """Every sign change on [0, 1] of power-basis rows (degree <= 5), and
+    the depth-cap midpoints.  A row's negation turns its - to + roots into
+    + to - ones; each row is scaled by a power of two into [0.5, 1); a zero
+    row, whose every cell would split down to the depth cap, is dropped."""
+    p = polys[np.any(polys != 0.0, axis=1)]
+    p = np.concatenate([p, -p])
+    p = np.ldexp(p, -np.frexp(np.abs(p).max(axis=1))[1][:, None]).T
+    b = (p[:, None, None] * _CELL_MATRICES[:len(p), :, :, None]).sum(axis=0)
+    (rows, lo, hi, start), (_, mids) = _isolate(b, p.shape[1])
+    return np.concatenate([_newton(p[:, rows], lo, hi, start), mids])
 
 
 def is_monotone(curve: RankingCurve, dim: int) -> Monotonicity:
@@ -161,26 +284,34 @@ def is_monotone(curve: RankingCurve, dim: int) -> Monotonicity:
     return Monotonicity.NOT_MONOTONE
 
 
-def speed_extremes(curve: RankingCurve) -> tuple[float, float, float]:
-    """(t*, |C'(t*)|, max |C'|) over [0, 1], with t* the slowest point.
-
-    The extremes of the quartic |C'|^2 sit at its critical points.  A zero
-    of C' is also a root of every coordinate's C'_j, found there to full
-    precision even where it is a multiple root of the quartic's derivative
-    (a stopping point on a straight curve).  Speeds come from de Casteljau.
+def _speed_extremes(curve: RankingCurve) -> tuple[float, float, float, int]:
+    """(t*, |C'(t*)|, max |C'|, e) over [0, 1], speeds in units of 2**e and
+    t* the slowest point.  H = 3 diff(P) is scaled by powers of two that
+    keep it and |C'|^2 in range; unlike C's power coefficients, it holds no
+    offset shared by all four points.  Candidates: t = 0, t = 1, the roots
+    of <H, H'>, and, for a stop, the roots of each H_j or, where rounding
+    split that double root into a complex pair, the vertices, roots of H'_j.
     """
-    from numpy.polynomial import polynomial as npoly
-
-    coeffs = _power_coefficients(curve.control_points)
-    hodograph = npoly.polyder(coeffs)
-    speed_sq = sum(np.convolve(col, col) for col in hodograph.T)
-    ts = np.concatenate(
-        [_critical_points(speed_sq)]
-        + [_critical_points(col) for col in coeffs.T]
-    )
-    speeds = np.linalg.norm(derivative(curve, ts), axis=1)
+    pts = curve.control_points
+    s = max(int(np.frexp(np.abs(pts).max())[1]) - 1021, 0)  # |P| / 2**s
+    hodo = 3.0 * np.diff(np.ldexp(pts, -s), axis=0)  # < 2**1021: finite
+    e = int(np.frexp(np.abs(hodo).max())[1])
+    h0, h1, h2 = hodo = np.ldexp(hodo, -e)
+    # power coefficients of H and H', padded to the cubic <H, H'>
+    a = np.stack([h0, 2.0 * (h1 - h0), h0 - 2.0 * h1 + h2, 0.0 * h0])
+    da = np.stack([a[1], 2.0 * a[2], a[3], a[3]])
+    dot = sum(np.convolve(a[:3, j], da[:2, j]) for j in range(curve.dim))
+    ts = np.concatenate(([0.0, 1.0], _roots(np.vstack([dot, a.T, da.T]))))
+    speeds = np.linalg.norm(_casteljau(hodo, ts), axis=1)
     k = int(np.argmin(speeds))
-    return float(ts[k]), float(speeds[k]), float(speeds.max())
+    return float(ts[k]), float(speeds[k]), float(speeds.max()), e + s
+
+
+def speed_extremes(curve: RankingCurve) -> tuple[float, float, float]:
+    """(t*, |C'(t*)|, max |C'|) over [0, 1], with t* the slowest point."""
+    t, slowest, fastest, e = _speed_extremes(curve)
+    with np.errstate(over="ignore"):  # max |C'| can pass the double range
+        return t, float(np.ldexp(slowest, e)), float(np.ldexp(fastest, e))
 
 
 def curve_to_dict(curve: RankingCurve) -> dict:

@@ -49,8 +49,8 @@ from .bezier import (
     BestEnd,
     Monotonicity,
     RankingCurve,
+    _speed_extremes,
     is_monotone,
-    speed_extremes,
 )
 from .data import IndicatorTable, Orientation
 from .errors import PipelineFailure, RankingError
@@ -431,7 +431,7 @@ def check_linear_compatibility(pipeline: RankingPipeline) -> CriterionResult:
 def check_smoothness(curve: RankingCurve) -> CriterionResult:
     """Regularity: C'(t) != 0 on [0, 1], decided exactly (a cubic is C^inf,
     so a vanishing derivative is the only way it can fail to be smooth)."""
-    t, slowest, fastest = speed_extremes(curve)
+    t, slowest, fastest, e = _speed_extremes(curve)
     ratio = slowest / fastest
     if ratio > REGULARITY_TOL:
         return CriterionResult(
@@ -442,6 +442,7 @@ def check_smoothness(curve: RankingCurve) -> CriterionResult:
                 f"{REGULARITY_TOL:.0e} on [0, 1]"
             ),
         )
+    slowest = float(np.ldexp(slowest, e))  # in the curve's units
     return CriterionResult(
         criterion=Criterion.SMOOTHNESS,
         verdict=Verdict.FAIL,

@@ -25,7 +25,7 @@ from rpcurve.bezier import (
     is_monotone,
     second_derivative,
     speed_extremes,
-    _critical_points,
+    _roots,
 )
 from rpcurve.errors import DegenerateCurve, DomainError
 
@@ -196,7 +196,8 @@ class TestCriticalPoints:
                     min_size=1, max_size=7))
     def test_extremes_match_dense_grid(self, coeffs):
         c = np.array(coeffs)
-        at_candidates = npoly.polyval(_critical_points(c), c)
+        at_candidates = npoly.polyval(
+            np.r_[0.0, 1.0, _roots(npoly.polyder(c)[None])], c)
         sampled = npoly.polyval(np.linspace(0.0, 1.0, 200001), c)
         rounding = 1e-12 * (1.0 + np.abs(c).sum())
         # samples are 5e-6 apart and p' = 0 at an interior extreme, so a
@@ -207,18 +208,34 @@ class TestCriticalPoints:
             gap = sign * (ext(at_candidates) - ext(sampled))
             assert -rounding <= gap <= resolution
 
-    def test_untrimmed_roots_where_no_coefficient_is_negligible(self):
-        rng = np.random.default_rng(41)
-        for size in range(1, 8):
-            for _ in range(200):
-                c = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4)
-                roots = npoly.polyroots(npoly.polyder(c))
-                want = np.concatenate(([0.0, 1.0], np.clip(roots.real, 0, 1)))
-                assert _critical_points(c).tobytes() == want.tobytes()
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda k: st.lists(
+        st.lists(st.integers(-(10**6), 10**6).map(lambda m: m / 1e5),
+                 min_size=k, max_size=k),
+        min_size=1, max_size=6)))
+    def test_batch_roots_equal_per_row_roots(self, rows):
+        polys = np.array(rows)
+        batch = _roots(polys)
+        alone = np.concatenate([_roots(row[None]) for row in polys])
+        # sorted bit patterns: equal as multisets, to the last bit
+        assert (np.sort(batch.view(np.int64)).tobytes()
+                == np.sort(alone.view(np.int64)).tobytes())
 
-    def test_negligible_leading_coefficients_are_dropped(self):
-        # offsets near 1e-160 square to |C'|^2 coefficients near 1e-320:
-        # a companion matrix built on them overflows
+    def test_zero_rows_have_no_roots(self):
+        # every cell of a zero row is live: unguarded, the sort would split
+        # CELLS * 2**MAX_DEPTH cells
+        assert _roots(np.zeros((3, 4))).shape == (0,)
+        np.testing.assert_array_equal(
+            _roots(np.array([[0.0, 0.0], [-1.0, 2.0]])), [0.5])
+
+    def test_uniform_speed_line(self):
+        # C'' = 0, so <C', C''> and each C''_j are zero rows
+        c = curve([[0, 0], [1, 1], [2, 2], [3, 3]])
+        speed = float(np.linalg.norm([3.0, 3.0]))
+        assert speed_extremes(c) == (0.0, speed, speed)
+
+    def test_speeds_near_1e_160_beside_speeds_near_1(self):
+        # offsets near 1e-160 square to |C'|^2 coefficients near 1e-320
         c = curve([[0, 0], [0, 1e-160], [1, 0], [3, 2e-160]])
         t_min, slowest, fastest = speed_extremes(c)
         assert (t_min, fastest) == (0.0, 6.0)

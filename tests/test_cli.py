@@ -546,6 +546,19 @@ def test_cli_import_leaves_unused_modules_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_smoothness_check_leaves_numpy_polynomial_unloaded():
+    # the speed's critical points come from the package's own Bernstein
+    # root isolator, not from a companion-matrix eigen solve
+    out = _run_python(
+        "import sys\n"
+        "from rpcurve.bezier import RankingCurve\n"
+        "from rpcurve.evaluation import check_smoothness\n"
+        "check_smoothness(RankingCurve([[0, 0], [1, 1], [0, 1], [1, 0]]))\n"
+        "print('numpy.polynomial' in sys.modules)"
+    )
+    assert out.stdout.strip() == "False"
+
+
 # the package's exported names, each defined in one of its modules
 EXPORTED = """
 Comparison arithmetic_mean_rank compare elmap_reference_scores

@@ -1,10 +1,11 @@
 """Meta-criteria audit machinery on small synthetic tables."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rpcurve import evaluation
@@ -207,6 +208,57 @@ def stationary_line(c):
     return np.outer(x, [1.0, 2.0])
 
 
+def _remainder(a, b):
+    """a mod b for exact ascending coefficient lists, b without a leading
+    zero; the remainder is trimmed of leading zeros."""
+    while len(a) >= len(b):
+        f = a[-1] / b[-1]
+        a = [x - f * y for x, y in zip(a, [0] * (len(a) - len(b)) + b)]
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def exact_stop(points):
+    """Whether C' of the control points, read as exact fractions, vanishes
+    on [0, 1]: whether the gcd of the power-basis C'_j, by Euclid over the
+    rationals, has a real root there."""
+    g = []
+    for col in np.asarray(points).T:
+        h0, h1, h2 = (Fraction(b) - Fraction(a) for a, b in zip(col, col[1:]))
+        p = [h0, 2 * (h1 - h0), h0 - 2 * h1 + h2]
+        while p and p[-1] == 0:
+            p.pop()
+        while p:
+            g, p = p, _remainder(g, p)
+    if len(g) == 2:
+        return 0 <= -g[0] / g[1] <= 1
+    if len(g) == 3:  # the C'_j are proportional: a straight curve
+        c0, c1, c2 = g
+        ends = c0 * (c0 + c1 + c2)
+        vertex = -c1 / (2 * c2)
+        return c1 * c1 >= 4 * c0 * c2 and (
+            ends <= 0 or (0 < vertex < 1 and c0 * c2 > 0))
+    return False
+
+
+FLOAT_MAX = np.finfo(float).max
+
+
+@st.composite
+def wide_curves(draw):
+    """One random shape at one random scale of the double range, from
+    subnormal control points to ones near the largest float."""
+    d = draw(st.integers(1, 3))
+    mantissas = draw(st.lists(
+        st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True),
+        min_size=4 * d, max_size=4 * d))
+    points = np.ldexp(np.reshape(mantissas, (4, d)),
+                      draw(st.integers(-1074, 1023)))
+    assume(not np.array_equal(points[0], points[3]))
+    return points
+
+
 REGULARITY_CASES = {
     "cusp at 0.5": ([[0, 0], [1, 1], [0, 1], [1, 0]], Verdict.FAIL),
     # off every sample grid: the finite-difference check passed it
@@ -233,7 +285,9 @@ class TestSmoothness:
         )
 
     @pytest.mark.parametrize("name", sorted(REGULARITY_CASES))
-    @pytest.mark.parametrize("scale,shift", [(1.0, 0.0), (1e6, 7.0)])
+    @pytest.mark.parametrize(
+        "scale,shift", [(1.0, 0.0), (1e6, 7.0), (1e160, 0.0), (1e-160, 0.0)]
+    )
     def test_exact_regularity_verdict(self, name, scale, shift):
         points, verdict = REGULARITY_CASES[name]
         curve = RankingCurve(np.asarray(points, dtype=float) * scale + shift)
@@ -242,8 +296,31 @@ class TestSmoothness:
         assert f"{REGULARITY_TOL:.0e}" in res.evidence
         if verdict is Verdict.FAIL:
             assert res.witness["ratio"] <= REGULARITY_TOL
-            speed = np.linalg.norm(derivative(curve, res.witness["t"]))
-            assert res.witness["speed"] == speed
+            # |C'| of the control points scaled by the power of two that
+            # keeps |C'|^2 in range, scaled back: exact at any scale
+            cp = curve.control_points
+            e = int(np.frexp(np.abs(np.diff(cp, axis=0)).max())[1])
+            tangent = derivative(RankingCurve(np.ldexp(cp, -e)),
+                                 res.witness["t"])
+            assert res.witness["speed"] == np.ldexp(np.linalg.norm(tangent), e)
+
+    @pytest.mark.parametrize("c", [0.6729417759986215, 0.12442135539955654])
+    def test_stop_of_shifted_line_fails(self, c):
+        # 3 + 1e-6 C(t) rounds each control point, yet the rounded ones
+        # still stop exactly; power coefficients of C would sum the shared
+        # offset 3 and lose the stop
+        points = stationary_line(c) * 1e-6 + 3.0
+        assert exact_stop(points)
+        res = check_smoothness(RankingCurve(points))
+        assert res.verdict is Verdict.FAIL, res.evidence
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_curves())
+    @example(np.array([[-1, 1], [1, 1], [-1, -1], [1, -1]]) * FLOAT_MAX)
+    @example(np.array([[0.0], [0.0], [0.0], [5e-324]]))
+    def test_ratio_is_never_nan(self, points):
+        res = check_smoothness(RankingCurve(points))
+        assert "nan" not in res.evidence, res.evidence
 
 
     def test_offsets_near_1e_160_fail_without_raising(self):

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from rpcurve.baselines import published_control_points
 from rpcurve.bezier import (
+    CELLS,
     BestEnd,
     RankingCurve,
     derivative,
@@ -21,7 +22,6 @@ from rpcurve.data import apply_transform, load_bundled_table, normalize
 from rpcurve.errors import DomainError
 from rpcurve.projection import (
     BLOCK,
-    CELLS,
     project_point,
     project_points,
     score_from_t,
