@@ -95,11 +95,10 @@ def _check_t(t) -> np.ndarray:
 def _casteljau(points: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Repeated linear interpolation of ``points`` (k x d) at t (...)->(..., d)."""
     tt = t[..., None]
-    level = [p for p in points]
+    st = 1.0 - tt
+    level = points.reshape(points.shape[:1] + (1,) * t.ndim + points.shape[1:])
     while len(level) > 1:
-        level = [
-            (1.0 - tt) * a + tt * b for a, b in zip(level[:-1], level[1:])
-        ]
+        level = st * level[:-1] + tt * level[1:]
     return level[0]
 
 
@@ -168,10 +167,9 @@ def _halves(b: np.ndarray):
 
 def _isolate(b: np.ndarray, n: int):
     """Brackets (rows, lo, hi, Newton start) of the + to - roots, and the
-    depth-cap midpoints (rows, t), of n polynomials' cells (6, CELLS, n)."""
+    depth-cap midpoints (rows, t), of n polynomials' cells (6, CELLS, n);
+    rows and lo are built only for the cells found or split."""
     b = b.reshape(6, CELLS * n)
-    rows = np.tile(np.arange(n), CELLS)
-    lo = np.repeat(np.arange(CELLS) / CELLS, n)
     width = 1.0 / CELLS
     found = []
     for depth in range(MAX_DEPTH + 1):
@@ -182,13 +180,18 @@ def _isolate(b: np.ndarray, n: int):
         # a decreasing live cell with b0 = 0 has its root on its left
         # node, which the cell before it (or the candidate t = 0) counts
         m = np.flatnonzero(live & dec & (b[0] > 0.0))
+        split = np.flatnonzero(live & ~mono)
+        if depth:
+            rows_m, lo_m, rows, lo = rows[m], lo[m], rows[split], lo[split]
+        else:  # level-0 cell k is row k % n on [k // n, k // n + 1] / CELLS
+            rows_m, lo_m = m % n, (m // n) / CELLS
+            rows, lo = split % n, (split // n) / CELLS
         # Newton starts where the control polygon crosses zero
         i = np.count_nonzero(b[:, m] > 0.0, axis=0) - 1
         b_i, b_j = b[i, m], b[i + 1, m]
-        start = lo[m] + width * (i + b_i / (b_i - b_j)) / 5.0
-        found.append((rows[m], lo[m], lo[m] + width, start))
-        split = live & ~mono
-        rows, lo, b = rows[split], lo[split], b[:, split]
+        start = lo_m + width * (i + b_i / (b_i - b_j)) / 5.0
+        found.append((rows_m, lo_m, lo_m + width, start))
+        b = b[:, split]
         if depth == MAX_DEPTH or not rows.size:
             break
         width *= 0.5
@@ -196,17 +199,17 @@ def _isolate(b: np.ndarray, n: int):
         b = np.concatenate([left, right], axis=1)
         rows = np.concatenate([rows, rows])
         lo = np.concatenate([lo, lo + width])
-    brackets = tuple(np.concatenate(parts) for parts in zip(*found))
-    return brackets, (rows, lo + 0.5 * width)
-
-
+    mids = (rows, lo + 0.5 * width)
+    if len(found) == 1:
+        return found[0], mids
+    return tuple(np.concatenate(parts) for parts in zip(*found)), mids
 
 
 def _horner(coef: np.ndarray, t: np.ndarray):
-    """g(t) and g'(t) from ascending power coefficients (6, m)."""
-    g = coef[-1]
-    gp = np.zeros_like(t)
-    for c in coef[-2::-1]:
+    """g(t) and g'(t) from ascending power coefficients (k >= 2, m)."""
+    gp = coef[-1]
+    g = gp * t + coef[-2]
+    for c in coef[-3::-1]:
         gp = gp * t + g
         g = g * t + c
     return g, gp
@@ -215,36 +218,33 @@ def _horner(coef: np.ndarray, t: np.ndarray):
 def _newton(coef, lo, hi, t):
     """Root of each decreasing g in its bracket, g(lo) > 0 >= g(hi), by
     Newton from the start t, safeguarded by bisection; each bracket stops
-    on its own once its step falls below STEP_TOL."""
-    out = np.empty_like(t)
-    idx = np.arange(t.size)
+    on its own once its step falls below STEP_TOL, and its t stays fixed
+    while the others go on."""
+    if not t.size:
+        return t
+    fin = np.zeros(t.shape, dtype=bool)
     dx = dx_old = hi - lo  # step sizes, the last and the one before
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(NEWTON_CAP):
-            if not idx.size:
-                break
             g, gp = _horner(coef, t)
             pos = g > 0.0
             lo = np.where(pos, t, lo)
             hi = np.where(pos, hi, t)
             tn = t - g / gp
             size = np.abs(tn - t)
-            # nan comparisons are false, so a zero g' bisects
+            # nan and inf steps fail these tests, so a zero g' bisects
             newton = (tn > lo) & (tn < hi) & (size <= 0.5 * dx_old)
             # a Newton step this small leaves an error of order its square;
             # a rejected one this small is rounding noise in g, so t stays
-            stay = ~newton & (size < STEP_TOL)
+            small = size < STEP_TOL
             half = 0.5 * (hi - lo)
             dx_old, dx = dx, np.where(newton, size, half)
-            done = stay | (dx < STEP_TOL)
-            t = np.where(newton, tn, np.where(stay, t, lo + half))
-            if done.any():
-                out[idx[done]] = t[done]
-                keep = ~done
-                idx, t, lo, hi = idx[keep], t[keep], lo[keep], hi[keep]
-                coef, dx, dx_old = coef[:, keep], dx[keep], dx_old[keep]
-    out[idx] = t
-    return out
+            stay = fin | ~newton & small
+            t = np.where(stay, t, np.where(newton, tn, lo + half))
+            fin |= small | (dx < STEP_TOL)
+            if fin.all():
+                break
+    return t
 
 
 def _roots(polys: np.ndarray) -> np.ndarray:
@@ -284,13 +284,13 @@ def is_monotone(curve: RankingCurve, dim: int) -> Monotonicity:
     return Monotonicity.NOT_MONOTONE
 
 
-def _speed_extremes(curve: RankingCurve) -> tuple[float, float, float, int]:
-    """(t*, |C'(t*)|, max |C'|, e) over [0, 1], speeds in units of 2**e and
-    t* the slowest point.  H = 3 diff(P) is scaled by powers of two that
-    keep it and |C'|^2 in range; unlike C's power coefficients, it holds no
-    offset shared by all four points.  Candidates: t = 0, t = 1, the roots
-    of <H, H'>, and, for a stop, the roots of each H_j or, where rounding
-    split that double root into a complex pair, the vertices, roots of H'_j.
+def _speed_extremes(curve: RankingCurve) -> tuple[float, float, float, float]:
+    """(t*, |C'(t*)|, max |C'|, ratio of the two) over [0, 1], t* the slowest
+    point; max |C'| may overflow.  H = 3 diff(P) is scaled by powers of two
+    that keep it in range; unlike C's power coefficients, it holds no offset
+    shared by all four points.  Candidates: t = 0, t = 1, the roots of
+    <H, H'>, and, for a stop, the roots of each H_j or, where rounding split
+    that double root into a complex pair, the vertices, roots of H'_j.
     """
     pts = curve.control_points
     s = max(int(np.frexp(np.abs(pts).max())[1]) - 1021, 0)  # |P| / 2**s
@@ -302,16 +302,22 @@ def _speed_extremes(curve: RankingCurve) -> tuple[float, float, float, int]:
     da = np.stack([a[1], 2.0 * a[2], a[3], a[3]])
     dot = sum(np.convolve(a[:3, j], da[:2, j]) for j in range(curve.dim))
     ts = np.concatenate(([0.0, 1.0], _roots(np.vstack([dot, a.T, da.T]))))
-    speeds = np.linalg.norm(_casteljau(hodo, ts), axis=1)
-    k = int(np.argmin(speeds))
-    return float(ts[k]), float(speeds[k]), float(speeds.max()), e + s
+    # each candidate's C' / 2**ev before the norm, so that no coordinate
+    # squares to 0; ev is carried into the speeds and their ratio
+    tangents = _casteljau(hodo, ts)
+    ev = np.frexp(np.abs(tangents).max(axis=1))[1]
+    norms = np.linalg.norm(np.ldexp(tangents, -ev[:, None]), axis=1)
+    speeds = np.ldexp(norms, ev)  # in units of 2**e
+    k, j = int(np.argmin(speeds)), int(np.argmax(speeds))
+    with np.errstate(over="ignore"):
+        slowest, fastest = np.ldexp(norms[[k, j]], ev[[k, j]] + e + s)
+    ratio = np.ldexp(norms[k] / norms[j], ev[k] - ev[j])
+    return float(ts[k]), float(slowest), float(fastest), float(ratio)
 
 
 def speed_extremes(curve: RankingCurve) -> tuple[float, float, float]:
     """(t*, |C'(t*)|, max |C'|) over [0, 1], with t* the slowest point."""
-    t, slowest, fastest, e = _speed_extremes(curve)
-    with np.errstate(over="ignore"):  # max |C'| can pass the double range
-        return t, float(np.ldexp(slowest, e)), float(np.ldexp(fastest, e))
+    return _speed_extremes(curve)[:3]
 
 
 def curve_to_dict(curve: RankingCurve) -> dict:

@@ -431,8 +431,7 @@ def check_linear_compatibility(pipeline: RankingPipeline) -> CriterionResult:
 def check_smoothness(curve: RankingCurve) -> CriterionResult:
     """Regularity: C'(t) != 0 on [0, 1], decided exactly (a cubic is C^inf,
     so a vanishing derivative is the only way it can fail to be smooth)."""
-    t, slowest, fastest, e = _speed_extremes(curve)
-    ratio = slowest / fastest
+    t, slowest, _, ratio = _speed_extremes(curve)
     if ratio > REGULARITY_TOL:
         return CriterionResult(
             criterion=Criterion.SMOOTHNESS,
@@ -442,7 +441,6 @@ def check_smoothness(curve: RankingCurve) -> CriterionResult:
                 f"{REGULARITY_TOL:.0e} on [0, 1]"
             ),
         )
-    slowest = float(np.ldexp(slowest, e))  # in the curve's units
     return CriterionResult(
         criterion=Criterion.SMOOTHNESS,
         verdict=Verdict.FAIL,

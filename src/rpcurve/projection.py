@@ -17,8 +17,9 @@ The candidates are t = 0, g's + to - roots (its - to + ones are maxima),
 the depth-cap midpoints (near a double root of g, where the point is on
 the evolute) and t = 1.  The squared distance at each comes from de
 Casteljau and the smallest wins; values within rounding of the smallest
-are ties, which go to the smaller t.  An endpoint result is ``clamped``
-when g points out of [0, 1] there.
+are ties, which go to the smaller t.  Both minima are per-row scatter-mins
+over the candidates.  An endpoint result is ``clamped`` when g points out
+of [0, 1] there.
 
 Curve and points are first scaled by the exact power of two that brings
 the largest power coefficient of D into [0.5, 1), so that curves with
@@ -110,42 +111,42 @@ def _project_block(kern: _Kernel, pts: np.ndarray):
         raise DomainError("points lie too far from the curve for its scale")
     b = lin[0] - kern.cells[:, :, None]  # (6, CELLS, n)
     for i in (1, 2):
-        b = b + lin[i] * _CELL_MATRICES[i][:, :, None]
+        b += lin[i] * _CELL_MATRICES[i][:, :, None]
     (b_rows, lo, hi, start), (m_rows, mids) = _isolate(b, n)
     coef = np.repeat(-kern.quintic[:, None], b_rows.size, axis=1)
     coef[:3] += lin[:, b_rows]
-    feet = _newton(coef, lo, hi, start)
+    inner_rows, inner = b_rows, _newton(coef, lo, hi, start)
+    if m_rows.size:  # depth-cap midpoints, near a double root
+        inner_rows, inner = np.r_[inner_rows, m_rows], np.r_[inner, mids]
 
     # C(0) and C(1) are P0 and P3 exactly, so the ends need no de Casteljau
-    inner_rows = np.concatenate([b_rows, m_rows])
-    inner = np.concatenate([feet, mids])
-    rows = np.concatenate([np.arange(n), np.arange(n), inner_rows])
-    cand = np.concatenate([np.zeros(n), np.ones(n), inner])
-    d2 = np.concatenate([
-        _squared_norms(y),
-        _squared_norms(y3),
-        _squared_norms(pts[inner_rows] - _casteljau(cp, inner)),
-    ])
-    order = np.lexsort((cand, rows))  # by row, then by t
-    rows, cand, d2 = rows[order], cand[order], d2[order]
-    d2_min = np.minimum.reduceat(d2, np.searchsorted(rows, np.arange(n)))
+    d2 = _squared_norms(
+        np.concatenate([y, y3, pts[inner_rows] - _casteljau(cp, inner)]))
+    d2_0, d2_1, d2_in = d2[:n], d2[n:2 * n], d2[2 * n:]
+    d2_min = np.minimum(d2_0, d2_1)
+    np.minimum.at(d2_min, inner_rows, d2_in)
     # de Casteljau rounds C(t) by a few eps times the largest control
     # coordinate, so a squared distance d^2 is known to about eps (d^2 +
     # 2 d s), s = sqrt(dim) max |P|.  Squared distances that close to a
     # row's smallest are ties, and a tie goes to the smallest t: feet that
     # are equally far in exact arithmetic are chosen alike, whatever their
-    # last bits.
+    # last bits.  Equal t give equal d^2 bits.  A row keeps the sentinel
+    # t = 2 when only t = 1 is near it.
     s = np.sqrt(cp.shape[1]) * np.abs(cp).max()
-    slack = TIE_RTOL * (d2_min + 2.0 * s * np.sqrt(d2_min))
-    near = np.flatnonzero(d2 <= (d2_min + slack)[rows])
-    best = near[np.searchsorted(rows[near], np.arange(n))]
-    t_best = cand[best]
+    lim = d2_min + TIE_RTOL * (d2_min + 2.0 * s * np.sqrt(d2_min))
+    t_best = np.where(d2_0 <= lim, 0.0, 2.0)
+    near = d2_in <= lim[inner_rows]
+    np.minimum.at(t_best, inner_rows[near], inner[near])
+    np.minimum(t_best, 1.0, out=t_best)
+    d2_best = np.where(t_best == 0.0, d2_0, d2_1)
+    hit = inner == t_best[inner_rows]
+    d2_best[inner_rows[hit]] = d2_in[hit]
 
     hodo = 3.0 * np.diff(cp, axis=0)
     g0 = np.sum(y * hodo[0], axis=-1)
     g1 = np.sum(y3 * hodo[2], axis=-1)
     clamped = ((t_best == 0.0) & (g0 < 0.0)) | ((t_best == 1.0) & (g1 > 0.0))
-    return t_best, np.sqrt(d2[best]), clamped
+    return t_best, np.sqrt(d2_best), clamped
 
 
 def project_points(curve: RankingCurve, points: np.ndarray, workers: int = 1):

@@ -322,6 +322,17 @@ class TestSmoothness:
         res = check_smoothness(RankingCurve(points))
         assert "nan" not in res.evidence, res.evidence
 
+    def test_witness_speed_beside_a_subnormal_hodograph_coordinate(self):
+        # the scaled C' is about 1 at the ends and (0, 3 * 2**-1026) at
+        # t = 0.5: its norm must not square that y to 0
+        curve = RankingCurve([[-1e308, 0], [1e308, 1], [-1e308, 2],
+                              [1e308, 3]])
+        res = check_smoothness(curve)
+        assert res.verdict is Verdict.FAIL, res.evidence
+        assert res.witness["t"] == 0.5
+        assert res.witness["speed"] == 3.0
+        assert 0.0 < res.witness["ratio"] <= REGULARITY_TOL
+
 
     def test_offsets_near_1e_160_fail_without_raising(self):
         # |C'|^2 has coefficients near 1e-320 beside ones near 1: the root

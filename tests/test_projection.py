@@ -9,11 +9,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rpcurve import projection
 from rpcurve.baselines import published_control_points
 from rpcurve.bezier import (
+    _CELL_MATRICES,
     CELLS,
     BestEnd,
     RankingCurve,
+    _casteljau,
+    _isolate,
+    _newton,
     derivative,
     evaluate,
     second_derivative,
@@ -22,6 +27,11 @@ from rpcurve.data import apply_transform, load_bundled_table, normalize
 from rpcurve.errors import DomainError
 from rpcurve.projection import (
     BLOCK,
+    TIE_RTOL,
+    _kernel,
+    _linear_part,
+    _project_block,
+    _squared_norms,
     project_point,
     project_points,
     score_from_t,
@@ -100,6 +110,24 @@ class TestProjectPoints:
             assert ts[i] == r.t
             assert dist[i] == r.distance
             assert clamped[i] == r.clamped
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_empty_batch(self, d):
+        c = curve(np.arange(4.0 * d).reshape(4, d) ** 1.5)
+        got = project_points(c, np.empty((0, d)))
+        assert [(a.shape, a.dtype) for a in got] == [
+            ((0,), np.dtype(float)), ((0,), np.dtype(float)),
+            ((0,), np.dtype(bool))]
+
+    def test_one_row_batch_equals_its_row_in_a_larger_batch(self):
+        rng = np.random.default_rng(8)
+        c = curve(rng.normal(size=(4, 3)))
+        xs = rng.normal(scale=2.0, size=(25, 3))
+        base = project_points(c, xs)
+        for i in range(len(xs)):
+            one = project_points(c, xs[i:i + 1])
+            for a, b in zip(base, one):
+                assert a[i:i + 1].tobytes() == b.tobytes()
 
     def test_workers_bit_identical(self):
         rng = np.random.default_rng(6)
@@ -194,14 +222,49 @@ class TestProjectionProperties:
     @PROPERTY
     @given(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.floats(1.01, 3.0))
     def test_tie_between_ends_goes_to_smaller_t(self, w, h, k):
-        # the arch x(t) = w (2t - 1), y(t) = 3 h t (1 - t) seen from (0, -s):
-        # with u = t (1 - t), d^2 = w^2 + s^2 + u (6 h s - 4 w^2) + 9 h^2 u^2,
-        # so both ends are the nearest points, at exactly equal distances,
-        # once s > 2 w^2 / (3 h)
-        arch = curve([[-w, 0.0], [-w / 3, h], [w / 3, h], [w, 0.0]])
-        s = k * 2 * w * w / (3 * h)
-        r = project_point(arch, np.array([0.0, -s]))
+        arch, x = arch_case(w, h, k)
+        r = project_point(arch, x[0])
         assert r.t == 0.0 and r.clamped
+
+
+def reference_block(kern, pts):
+    """The foot selection by sort: candidates ordered by row, then t, with
+    ``np.lexsort``, each row's smallest d^2 by ``np.minimum.reduceat`` and
+    its first near candidate by ``np.searchsorted``.  The same internals
+    feed it, so it must agree with ``_project_block`` bit for bit."""
+    n = pts.shape[0]
+    cp = kern.control_points
+    y, y3 = pts - cp[0], pts - cp[3]
+    lin = _linear_part(kern, np.ldexp(y, -kern.exponent))
+    b = lin[0] - kern.cells[:, :, None]
+    for i in (1, 2):
+        b = b + lin[i] * _CELL_MATRICES[i][:, :, None]
+    (b_rows, lo, hi, start), (m_rows, mids) = _isolate(b, n)
+    coef = np.repeat(-kern.quintic[:, None], b_rows.size, axis=1)
+    coef[:3] += lin[:, b_rows]
+    feet = _newton(coef, lo, hi, start)
+    inner_rows = np.concatenate([b_rows, m_rows])
+    inner = np.concatenate([feet, mids])
+    rows = np.concatenate([np.arange(n), np.arange(n), inner_rows])
+    cand = np.concatenate([np.zeros(n), np.ones(n), inner])
+    d2 = np.concatenate([
+        _squared_norms(y),
+        _squared_norms(y3),
+        _squared_norms(pts[inner_rows] - _casteljau(cp, inner)),
+    ])
+    order = np.lexsort((cand, rows))  # by row, then by t
+    rows, cand, d2 = rows[order], cand[order], d2[order]
+    d2_min = np.minimum.reduceat(d2, np.searchsorted(rows, np.arange(n)))
+    s = np.sqrt(cp.shape[1]) * np.abs(cp).max()
+    slack = TIE_RTOL * (d2_min + 2.0 * s * np.sqrt(d2_min))
+    near = np.flatnonzero(d2 <= (d2_min + slack)[rows])
+    best = near[np.searchsorted(rows[near], np.arange(n))]
+    t_best = cand[best]
+    hodo = 3.0 * np.diff(cp, axis=0)
+    g0 = np.sum(y * hodo[0], axis=-1)
+    g1 = np.sum(y3 * hodo[2], axis=-1)
+    clamped = ((t_best == 0.0) & (g0 < 0.0)) | ((t_best == 1.0) & (g1 > 0.0))
+    return t_best, np.sqrt(d2[best]), clamped
 
 
 def normals(c, t):
@@ -209,6 +272,71 @@ def normals(c, t):
     d = derivative(c, t)
     return np.stack([-d[:, 1], d[:, 0]], axis=1) / np.hypot(
         d[:, 0], d[:, 1])[:, None]
+
+
+def arch_case(w=1.0, h=1.0, k=2.0):
+    """The arch x(t) = w (2t - 1), y(t) = 3 h t (1 - t) and the point
+    (0, -s): with u = t (1 - t), d^2 = w^2 + s^2 + u (6 h s - 4 w^2) +
+    9 h^2 u^2, so both ends are the nearest points, at exactly equal
+    distances, once s > 2 w^2 / (3 h)."""
+    arch = curve([[-w, 0.0], [-w / 3, h], [w / 3, h], [w, 0.0]])
+    return arch, np.array([[0.0, -k * 2 * w * w / (3 * h)]])
+
+
+def node_case():
+    """C(k / CELLS) and C'(k / CELLS) are exact for integer control
+    points, so x = C + s N has g(k / CELLS) = 0 exactly."""
+    c = curve([[0, 0], [3, 5], [6, 7], [9, 6]])
+    nodes = np.arange(CELLS + 1) / CELLS
+    d = derivative(c, nodes)
+    normal = np.stack([-d[:, 1], d[:, 0]], 1)
+    pts = evaluate(c, nodes)
+    return c, np.concatenate([pts + 2.0**-6 * normal, pts - 2.0**-6 * normal])
+
+
+def evolute_case():
+    """The centre of curvature E(t0) makes t0 a double root of g; the
+    centres and points near them leave depth-cap midpoints as candidates."""
+    c = curve([[0, 0], [3, 5], [6, 7], [9, 6]])
+    t0 = np.linspace(0.05, 0.95, 10)
+    d, dd = derivative(c, t0), second_derivative(c, t0)
+    radius = (d * d).sum(1) / (d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0])
+    centres = evaluate(c, t0) + normals(c, t0) * (
+        radius * np.hypot(d[:, 0], d[:, 1]))[:, None]
+    tangents = d / np.hypot(d[:, 0], d[:, 1])[:, None]
+    xs = [centres] + [centres + off * v for off in (1e-9, 1e-6, 1e-3)
+                      for sign in (1, -1) for v in (
+                          sign * normals(c, t0), sign * tangents)]
+    return c, np.concatenate(xs)
+
+
+class TestSelection:
+    def test_evolute_case_has_depth_cap_midpoints(self, monkeypatch):
+        midpoints = []
+
+        def spy(b, n):
+            brackets, mids = _isolate(b, n)
+            midpoints.append(mids[0].size)
+            return brackets, mids
+
+        monkeypatch.setattr(projection, "_isolate", spy)
+        project_points(*evolute_case())
+        assert sum(midpoints) > 0
+
+    @PROPERTY
+    @given(st.sampled_from(["cubic", "quadratic", "line", "coincident"])
+           .flatmap(random_curves))
+    @example(arch_case())
+    @example(arch_case(0.5, 2.0, 1.5))
+    @example(node_case())
+    @example(evolute_case())
+    def test_scatter_min_equals_sorted_selection(self, case):
+        c, xs = case
+        kern = _kernel(c)
+        for got, want in zip(_project_block(kern, xs),
+                             reference_block(kern, xs)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestHardGeometry:
@@ -232,17 +360,12 @@ class TestHardGeometry:
         assert_not_worse_than_dense(c, xs[[e for e in edges if e >= 0]])
 
     def test_feet_on_cell_nodes(self):
-        # C(k / CELLS) and C'(k / CELLS) are exact for integer control
-        # points, so x = C + s N has g(k / CELLS) = 0 exactly
-        c = curve([[0, 0], [3, 5], [6, 7], [9, 6]])
-        nodes = np.arange(CELLS + 1) / CELLS
-        d = derivative(c, nodes)
-        for s in (2.0**-6, -(2.0**-6)):
-            xs = evaluate(c, nodes) + s * np.stack([-d[:, 1], d[:, 0]], 1)
-            ts, _, clamped = project_points(c, xs)
-            np.testing.assert_allclose(ts, nodes, rtol=0, atol=1e-12)
-            assert not clamped.any()
-            assert_not_worse_than_dense(c, xs)
+        c, xs = node_case()
+        ts, _, clamped = project_points(c, xs)
+        nodes = np.tile(np.arange(CELLS + 1) / CELLS, 2)
+        np.testing.assert_allclose(ts, nodes, rtol=0, atol=1e-12)
+        assert not clamped.any()
+        assert_not_worse_than_dense(c, xs)
 
     def test_two_minima_in_one_cell(self):
         # a near-cusp at t = 0.6: the point between its two branches has a
@@ -260,18 +383,7 @@ class TestHardGeometry:
             assert_not_worse_than_dense(c, x[None, :])
 
     def test_on_and_near_the_evolute(self):
-        # the centre of curvature E(t0) makes t0 a double root of g
-        c = curve([[0, 0], [3, 5], [6, 7], [9, 6]])
-        t0 = np.linspace(0.05, 0.95, 10)
-        d, dd = derivative(c, t0), second_derivative(c, t0)
-        radius = (d * d).sum(1) / (d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0])
-        centres = evaluate(c, t0) + normals(c, t0) * (
-            radius * np.hypot(d[:, 0], d[:, 1]))[:, None]
-        tangents = d / np.hypot(d[:, 0], d[:, 1])[:, None]
-        xs = [centres] + [centres + off * v for off in (1e-9, 1e-6, 1e-3)
-                          for sign in (1, -1) for v in (
-                              sign * normals(c, t0), sign * tangents)]
-        assert_not_worse_than_dense(c, np.concatenate(xs))
+        assert_not_worse_than_dense(*evolute_case())
 
     def test_scaled_by_powers_of_two(self):
         rng = np.random.default_rng(12)
