@@ -274,14 +274,20 @@ def is_monotone(curve: RankingCurve, dim: int) -> Monotonicity:
     if not 0 <= dim < curve.dim:
         raise DomainError(f"dimension {dim} out of range for d={curve.dim}")
     diffs = np.diff(curve.control_points[:, dim])
-    for verdict, (h0, h1, h2) in (
-        (Monotonicity.STRICTLY_INCREASING, diffs),
-        (Monotonicity.STRICTLY_DECREASING, -diffs),
+    for verdict, h in (
+        (Monotonicity.STRICTLY_INCREASING, diffs.tolist()),
+        (Monotonicity.STRICTLY_DECREASING, (-diffs).tolist()),
     ):
-        if (h0 >= 0.0 and h2 >= 0.0 and max(h0, h1, h2) > 0.0
-                and (h1 >= 0.0 or h1 * h1 <= h0 * h2)):
+        if max(h) > 0.0 and _copositive(*h):
             return verdict
     return Monotonicity.NOT_MONOTONE
+
+
+def _copositive(h0: float, h1: float, h2: float) -> bool:
+    """True iff the quadratic with Bernstein coefficients h0, h1, h2 is
+    >= 0 on [0, 1]: the copositive cone that :func:`is_monotone` tests.
+    Python floats overflow to inf without a warning."""
+    return h0 >= 0.0 and h2 >= 0.0 and (h1 >= 0.0 or h1 * h1 <= h0 * h2)
 
 
 def _speed_extremes(curve: RankingCurve) -> tuple[float, float, float, float]:

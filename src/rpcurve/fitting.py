@@ -1,25 +1,35 @@
 """Fitting the ranking curve and turning projections into rankings.
 
-The fit starts from a first-principal-component initialization and
-iterates the fixed-point map P -> update(project(P)) of the Hastie &
-Stuetzle alternation:
+The fit minimizes F(P) = sum_i min_t ||z_i - C(t; P)||^2 over the four
+control points P, from a first-principal-component initialization, by a
+projected Levenberg-Marquardt iteration:
 
   1. project every normalized item onto the current curve (global
-     per-point minimization, see :mod:`rpcurve.projection`);
-  2. refit all four control points per dimension by least squares against
-     the Bernstein design of the current parameters, with a tiny Tikhonov
-     damping (1e-12) for numerical stability.
+     per-point minimization, see :mod:`rpcurve.projection`), which gives
+     the feet t_i and residuals e_i = z_i - C(t_i);
+  2. build the exact Jacobian of the residuals, in which each foot moves
+     with P (the implicit derivative of <e_i, C'(t_i)> = 0; without its
+     curvature terms it would be the tangent-distance step of Wang,
+     Pottmann & Liu, ACM TOG 2006, which stalls here);
+  3. solve (J^T J + mu diag J^T J) delta = -J^T e (Marquardt 1963) and
+     project P + delta, dimension by dimension, onto the control points
+     of cubics that are monotone in the direction of the initial line;
+  4. project the items onto that trial curve; keep it if F did not rise
+     and divide mu by 3, else multiply mu by 4 and try again from 3.
 
-The plain alternation converges only linearly, so each step is
-accelerated by type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal.
-2011) over the last ``ANDERSON_WINDOW + 1`` (iterate, update) pairs.  The
-mixed control points are projected; when their total squared distance
-exceeds the last accepted one, the history is cleared and the plain
-update is projected instead.  A plain update that fails to lower the
-distance ends the fit, so the accepted distances never increase.  The fit
-stops when the relative change of the distance falls below
-``REL_TOL`` (1e-8) or after ``MAX_PROJECTIONS`` (200) projections,
-rejected ones included, whichever comes first.
+The constraint keeps C'_j / 3, with Bernstein coefficients h = s_j diff(P_j),
+in the cone that :func:`rpcurve.bezier.is_monotone` tests, so a converged
+curve cannot overshoot the data and reverse the ranking.  A dimension
+whose initial line is flat (s_j = 0) is free.  Where a dimension sits on
+a face of its cone (h0 = 0, h2 = 0 or the curved h1^2 = h0 h2) and the
+gradient presses against it, step 3 solves for moves along that face
+only, so that the fit does not crawl along it by clipped steps.
+
+The fit stops on ``"tol"`` when a step accepted at its first trial lowers
+F by less than ``REL_TOL`` (1e-8) relatively, when the projected trial
+equals P (stationary on the cone), or when F is at rounding level; it
+stops on ``"max_iters"`` after ``MAX_PROJECTIONS`` (200) projections,
+rejected trials included.  The accepted distances never increase.
 
 Every step is deterministic; there is no randomness anywhere, so a
 repeated fit on identical input is bit-identical.  The curve is oriented so
@@ -30,6 +40,7 @@ makes scores equal to projection parameters.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +50,11 @@ from .bezier import (
     Monotonicity,
     RankingCurve,
     _casteljau,
+    _copositive,
     curve_from_dict,
     curve_to_dict,
     is_monotone,
+    second_derivative,
 )
 from .data import (
     IndicatorTable,
@@ -65,11 +78,13 @@ from .errors import (
 )
 from .projection import project_points, score_from_t
 
-DAMPING = 1e-12
 _MIN_T_SPREAD = 1e-12
-ANDERSON_WINDOW = 3  # Walker & Ni's m: differences of the last m + 1 pairs
+_EPS = float(np.finfo(float).eps)
+DAMPING_START = 1e-3  # Marquardt's mu: x4 after a rejected trial, /3 after
 REL_TOL = 1e-8  # relative change of the distance below which the fit stops
 MAX_PROJECTIONS = 200  # cap on the projections of one fit, rejected ones too
+# a fit whose distance is below z.size * ROUNDING**2 is at rounding level
+ROUNDING = 8.0 * _EPS  # for normalized data, with coordinates in [0, 1]
 
 
 @dataclass(frozen=True)
@@ -86,10 +101,13 @@ class FitConfig:
 @dataclass(frozen=True)
 class FitReport:
     """How a fit ended.  ``iterations`` counts the accepted iterates, one
-    per recorded distance; ``stop_reason`` is ``"tol"`` when the relative
-    change of the distance fell below ``REL_TOL`` and ``"max_iters"`` when
-    the projection cap stopped the fit first; ``last_rel_change`` is the
-    last relative change measured (None if the fit never compared two)."""
+    per recorded distance, and ``projections`` every projection, rejected
+    trials included; ``stop_reason`` is ``"tol"`` when the fit was
+    stationary (see :func:`fit`) and ``"max_iters"`` when the projection
+    cap stopped it first; ``last_rel_change`` is the last relative change
+    of the distance measured (None if the fit never compared two);
+    ``active_constraints`` names the indicators that end on a face of the
+    set of monotone cubics the fit keeps them in."""
 
     iterations: int
     distances: tuple[float, ...]
@@ -97,6 +115,8 @@ class FitReport:
     converged: bool
     stop_reason: str
     last_rel_change: float | None
+    projections: int
+    active_constraints: tuple[str, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -106,6 +126,8 @@ class FitReport:
             "converged": self.converged,
             "stop_reason": self.stop_reason,
             "last_rel_change": self.last_rel_change,
+            "projections": self.projections,
+            "active_constraints": list(self.active_constraints),
         }
 
 
@@ -236,30 +258,156 @@ def init_curve(data: NormalizedTable) -> RankingCurve:
     )
 
 
-def _least_squares_update(ts: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Control points (4 x d) that best fit ``z`` at fixed parameters."""
-    design = _casteljau(np.eye(4), ts)
-    gram = design.T @ design + DAMPING * np.eye(4)
-    return np.linalg.solve(gram, design.T @ z)
+def _foot_derivatives(curve: RankingCurve, z: np.ndarray, ts: np.ndarray):
+    """Residuals e = z - C(t) (n x d) and the factors of their exact
+    Jacobian, in which each foot t_i moves with P,
+
+        d e_i / d P_kj = -B_k(t_i) u_j - C'(t_i) d t_i / d P_kj,
+
+    as (e, B (n x 4), C'(t) (n x d), d t / d P (n x 4 x d)).
+    Differentiating g_i = <e_i, C'(t_i)> = 0 gives
+
+        d t_i / d P_kj = (B'_k e_ij - B_k C'_j) / (|C'|^2 - <e_i, C''>).
+
+    An end foot stays put, and so does a foot whose denominator is not
+    positive beyond rounding (on or past the evolute): d t / d P = 0."""
+    pts = curve.control_points
+    # cubic Bernstein values and derivatives from the quadratic ones:
+    # B_k = (1 - t) b_k + t b_(k-1) and B'_k = 3 (b_(k-1) - b_k)
+    quad, zero = _casteljau(np.eye(3), ts), np.zeros((ts.size, 1))
+    lo, hi = np.concatenate([quad, zero], 1), np.concatenate([zero, quad], 1)
+    basis = (1.0 - ts)[:, None] * lo + ts[:, None] * hi
+    dbasis = 3.0 * (hi - lo)
+    e = z - basis @ pts
+    c1 = dbasis @ pts
+    speed2 = np.sum(c1 * c1, axis=1)
+    den = speed2 - np.sum(e * second_derivative(curve, ts), axis=1)
+    moves = (ts > 0.0) & (ts < 1.0) & (den > _EPS * speed2)
+    num = (dbasis[:, :, None] * e[:, None, :]
+           - basis[:, :, None] * c1[:, None, :])
+    dt = np.divide(num, den[:, None, None], out=np.zeros_like(num),
+                   where=moves[:, None, None])
+    return e, basis, c1, dt
 
 
-def _anderson_point(iterates: list, updates: list) -> np.ndarray:
-    """Type-II Anderson mixing of the last update with the window's
-    differences (Walker & Ni 2011): weights from one least-squares fit of
-    the newest residual by the residual differences."""
-    x = np.array(iterates)
-    g = np.array(updates)
-    residuals = g - x
-    gamma = np.linalg.lstsq(
-        np.diff(residuals, axis=0).T, residuals[-1], rcond=None
-    )[0]
-    return g[-1] - np.diff(g, axis=0).T @ gamma
+def _normal_equations(curve: RankingCurve, z: np.ndarray, ts: np.ndarray):
+    """J^T J (4d x 4d) and J^T e (4d) for the Jacobian J (nd x 4d) of
+    :func:`_foot_derivatives`, summed over the items without forming J,
+    which would take O(n d^2) memory.  With tau_i = d t_i / d P raveled,
+    J_i = -(B_i kron I_d) - C'_i tau_i^T, so that
+
+        J^T J = (B^T B) kron I_d + U^T T + T^T U + T^T diag|C'|^2 T,
+        J^T e = -vec(B^T e) - T^T <C', e>,
+
+    where row i of U is B_i kron C'_i and row i of T is tau_i."""
+    e, basis, c1, dt = _foot_derivatives(curve, z, ts)
+    n, d = e.shape
+    tau = dt.reshape(n, -1)
+    cross = (basis[:, :, None] * c1[:, None, :]).reshape(n, -1).T @ tau
+    jtj = (np.kron(basis.T @ basis, np.eye(d)) + cross + cross.T
+           + tau.T @ (np.sum(c1 * c1, axis=1)[:, None] * tau))
+    grad = -(basis.T @ e).ravel() - tau.T @ np.sum(c1 * e, axis=1)
+    return jtj, grad
+
+
+def _cone_projection(h0: float, h1: float, h2: float):
+    """Nearest point to h of the copositive cone {h0 >= 0, h2 >= 0,
+    h1 >= -sqrt(h0 h2)}, in the norm h0^2 + 2 h1^2 + h2^2 of the matrix
+    M = [[h0, h1], [h1, h2]].  The cone is the union of the nonnegative
+    orthant and the positive semidefinite cone, so the answer is the nearer
+    of the two projections: h with its coordinates clipped at 0, and M with
+    its eigenvalues clipped at 0.  A point of the cone comes back as it is.
+    """
+    if _copositive(h0, h1, h2):
+        return h0, h1, h2
+    orthant = (max(h0, 0.0), max(h1, 0.0), max(h2, 0.0))
+    # the larger eigenvalue of M, from the determinant when it is the
+    # smaller in magnitude; its unit eigenvector is (cos a, sin a)
+    mean, radius = 0.5 * (h0 + h2), math.hypot(0.5 * (h0 - h2), h1)
+    det = h0 * h2 - h1 * h1
+    hi = mean + radius if mean >= 0.0 else det / (mean - radius)
+    if hi <= 0.0:
+        psd = (0.0, 0.0, 0.0)
+    else:  # M is not semidefinite, so its smaller eigenvalue is < 0
+        a = 0.5 * math.atan2(2.0 * h1, h0 - h2)
+        u, v = hi * math.cos(a), math.sin(a)
+        psd = (u * math.cos(a), u * v, hi * v * v)
+
+    def gap(c):
+        return (c[0] - h0) ** 2 + 2.0 * (c[1] - h1) ** 2 + (c[2] - h2) ** 2
+
+    return min(orthant, psd, key=gap)
+
+
+def _constrain(points: np.ndarray, signs: np.ndarray):
+    """Control points (4 x d) whose every dimension j with signs[j] != 0 is
+    monotone in direction signs[j], and the mask of the dimensions that
+    had to move.  h = s diff(P_j) goes to its cone projection and the
+    column is rebuilt as P0_j + s cumsum(h).  The rebuild rounds, and can
+    leave h1^2 a few units above h0 h2; h1 is then moved towards 0, by
+    about 2**k units of rounding at the k-th try, until the rebuilt
+    column passes."""
+    out = points.copy()
+    moved = np.zeros(points.shape[1], dtype=bool)
+    h = (signs * np.diff(points, axis=0)).T.tolist()
+    for j in np.flatnonzero(signs).tolist():
+        if _copositive(*h[j]):
+            continue
+        s = signs[j]
+        h0, h1, h2 = _cone_projection(*h[j])
+        col = points[0, j] + s * np.cumsum([0.0, h0, h1, h2])
+        for k in range(53):  # h1 is 0 after k = 52, and 0 always passes
+            if _copositive(*(s * np.diff(col)).tolist()):
+                break
+            h1 -= h1 * 2.0 ** (k - 52)
+            col = points[0, j] + s * np.cumsum([0.0, h0, h1, h2])
+        out[:, j] = col
+        moved[j] = True
+    return out, moved
+
+
+def _faces(points: np.ndarray, signs: np.ndarray, projected: np.ndarray):
+    """(j, inward normal in h) of each face of its cone that dimension j
+    sits on: h0 = 0 (P0 = P1), h2 = 0 (P2 = P3) and, where the projection
+    that made these points moved dimension j to h1 < 0, the curved face
+    h1^2 = h0 h2, whose normal is the gradient of h0 h2 - h1^2."""
+    faces = []
+    h = (signs * np.diff(points, axis=0)).T.tolist()
+    for j in np.flatnonzero(signs).tolist():
+        h0, h1, h2 = h[j]
+        if h0 == 0.0:
+            faces.append((j, (1.0, 0.0, 0.0)))
+        if h2 == 0.0:
+            faces.append((j, (0.0, 0.0, 1.0)))
+        if projected[j] and h1 < 0.0:
+            faces.append((j, (h2, -2.0 * h1, h0)))
+    return faces
+
+
+def _free_directions(points: np.ndarray, signs: np.ndarray,
+                     grad: np.ndarray, projected: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (4d x m) of the control point moves that keep to
+    the tangent plane of each face (see :func:`_faces`) that the gradient
+    of F / 2 (shaped like the points), taken along h, presses against; a
+    face the gradient would leave is free.  Steps along a face are then
+    full Gauss-Newton steps, where steps clipped onto it crawl."""
+    rows = []
+    by_h = signs * np.cumsum(grad[:0:-1], axis=0)[::-1]  # dF/2 by h0, h1, h2
+    for j, normal in _faces(points, signs, projected):
+        s, n = signs[j], np.array(normal)
+        if n @ by_h[:, j] >= 0.0:
+            row = np.zeros(points.shape)
+            row[:, j] = s * (np.r_[0.0, n] - np.r_[n, 0.0])  # n . s diff
+            rows.append(row.ravel())
+    if not rows:
+        return np.eye(points.size)
+    return np.linalg.svd(np.array(rows))[2][len(rows):].T
 
 
 def fit(data: NormalizedTable, config: FitConfig | None = None):
-    """Accelerated, safeguarded alternation; returns (RankingCurve, FitReport).
+    """Projected Levenberg-Marquardt fit; returns (RankingCurve, FitReport).
 
-    ``MAX_PROJECTIONS`` caps the projections, rejected ones included.
+    ``MAX_PROJECTIONS`` caps the projections, rejected trials included.
     The recorded distances are those of the accepted iterates, so they never
     increase, and the returned curve is the last accepted one.  After the
     loop the best-end convention is re-checked and each dimension gets an
@@ -281,41 +429,57 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
         ts, dist, _ = project_points(candidate, z, workers=config.workers)
         return candidate, ts, float(np.sum(dist * dist))
 
-    curve, ts, total = project(init_curve(data).control_points)
+    start = init_curve(data).control_points
+    signs = np.sign(start[3] - start[0])
+    curve, ts, total = project(start)
     distances = [total]
-    iterates: list[np.ndarray] = []
-    updates: list[np.ndarray] = []
-    keep = ANDERSON_WINDOW + 1
+    floor = z.size * ROUNDING**2
+    damping = DAMPING_START
+    projected = np.zeros(z.shape[1], dtype=bool)
     stop_reason = "max_iters"
     rel = None
     while projections < MAX_PROJECTIONS:
+        if total <= floor:
+            stop_reason = "tol"
+            break
         if float(ts.max() - ts.min()) <= _MIN_T_SPREAD:
             raise DegenerateParameterSpread(
                 "all projection parameters coincide; cannot update curve"
             )
-        update = _least_squares_update(ts, z)
-        iterates = (iterates + [curve.control_points.ravel()])[-keep:]
-        updates = (updates + [update.ravel()])[-keep:]
-        step = None
-        if len(iterates) > 1:
-            mixed = _anderson_point(iterates, updates).reshape(update.shape)
-            step = project(mixed)
-            if step[2] > total:  # safeguard: restart from the plain update
-                step, iterates, updates = None, [], []
-        if step is None:
-            if projections >= MAX_PROJECTIONS:
+        jtj, grad = _normal_equations(curve, z, ts)
+        scale = np.diag(np.diag(jtj))
+        pts = curve.control_points
+        basis = _free_directions(pts, signs, grad.reshape(pts.shape),
+                                 projected)
+        accepted = stationary = False
+        trials = 0
+        while not accepted and projections < MAX_PROJECTIONS:
+            trials += 1
+            # least squares: J is singular where no foot holds the curve,
+            # as along a tail beyond the data
+            lhs = basis.T @ (jtj + damping * scale) @ basis
+            delta = basis @ np.linalg.lstsq(lhs, -basis.T @ grad,
+                                            rcond=None)[0]
+            trial, moved = _constrain(pts + delta.reshape(pts.shape), signs)
+            if np.array_equal(trial, pts):  # stationary on the cone
+                stationary = True
                 break
-            step = project(update)
-        step_total = step[2]
-        rel = 0.0 if total == 0.0 else (total - step_total) / total
-        if step_total <= total:
-            curve, ts, total = step
-            distances.append(total)
-        if rel < REL_TOL:
+            step = project(trial)
+            rel = (total - step[2]) / total
+            accepted = step[2] <= total
+            if accepted:
+                curve, ts, total = step
+                projected = moved
+                distances.append(total)
+                damping /= 3.0
+            else:
+                damping *= 4.0
+        if stationary or (accepted and trials == 1 and rel < REL_TOL):
             stop_reason = "tol"
             break
 
     pts = curve.control_points
+    active = {j for j, _ in _faces(pts, signs, projected)}
     if best_end_first(pts[0], pts[3], data.orientations):
         curve = RankingCurve(
             control_points=pts[::-1].copy(),
@@ -324,6 +488,7 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
         )
 
     verdicts = tuple(is_monotone(curve, j) for j in range(curve.dim))
+    names = data.source.indicator_names
     report = FitReport(
         iterations=len(distances),
         distances=tuple(distances),
@@ -331,6 +496,8 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
         converged=stop_reason == "tol",
         stop_reason=stop_reason,
         last_rel_change=rel,
+        projections=projections,
+        active_constraints=tuple(names[j] for j in sorted(active)),
     )
     return curve, report
 

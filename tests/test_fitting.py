@@ -5,17 +5,29 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rpcurve import fitting
-from rpcurve.bezier import BestEnd, Monotonicity, evaluate
+from rpcurve.bezier import (
+    BestEnd,
+    Monotonicity,
+    RankingCurve,
+    derivative,
+    evaluate,
+    is_monotone,
+)
 from rpcurve.data import IndicatorTable, Orientation, normalize
+from rpcurve.evaluation import Verdict, check_monotonicity
 from rpcurve.errors import BadCurveFile, TooFewItems, TransformMismatch
 from rpcurve.fitting import (
     MAX_PROJECTIONS,
     REL_TOL,
     FitConfig,
+    _cone_projection,
+    _constrain,
+    _foot_derivatives,
+    _normal_equations,
     assign_orders,
     first_principal_axis,
     fit,
@@ -229,6 +241,8 @@ class TestFit:
         saved = report.to_dict()
         assert saved["stop_reason"] == "tol"
         assert saved["last_rel_change"] == report.last_rel_change
+        assert saved["projections"] == report.projections == projections
+        assert saved["active_constraints"] == []
 
     def test_projection_cap_reports_max_iters(self, make_table,
                                               projection_cap):
@@ -413,3 +427,173 @@ class TestPersistence:
         r1 = rank(t, curve)
         r2 = rank(t, loaded)
         np.testing.assert_array_equal(r1.orders, r2.orders)
+
+
+def noisy30(seed):
+    """Latent parameters and values of a 30 x 3 noisy30 table: t uniform,
+    columns t * (1, 1.5, 2) plus N(0, 0.05^2) noise."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(size=30)
+    return t, t[:, None] * np.array([1.0, 1.5, 2.0]) + rng.normal(
+        scale=0.05, size=(30, 3))
+
+
+class TestMonotoneFit:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_noisy30_stays_monotone_and_keeps_the_order(self, seed,
+                                                         make_table):
+        latent, values = noisy30(seed)
+        table = make_table(values)
+        curve, _ = fit_table(table)
+        verdict = check_monotonicity(curve, table.orientations)
+        assert verdict.verdict is Verdict.PASS, verdict.evidence
+        rho = scipy.stats.spearmanr(rank(table, curve).scores, latent)[0]
+        assert rho >= 0.98
+
+    def test_arch_is_held_on_a_face_and_reported(self, make_table):
+        """c1 rises then falls; its fitted coordinate must still rise, with
+        the constraint active at the end."""
+        t = np.sort(np.random.default_rng(3).uniform(size=40))
+        table = make_table(np.stack([t, 0.3 * t + 0.4 * np.sin(np.pi * t)], 1))
+        curve, report = fit_table(table)
+        assert report.active_constraints == ("c1",)
+        assert report.to_dict()["active_constraints"] == ["c1"]
+        assert report.monotonicity == (Monotonicity.STRICTLY_INCREASING,) * 2
+
+
+def foot_residuals(points, z):
+    c = RankingCurve(points)
+    ts, _, _ = project_points(c, z)
+    return z - evaluate(c, ts)
+
+
+def reference_jacobian(basis, c1, dt):
+    """J (n, d, 4, d), [i, a, k, j] = -B_k(t_i) [a = j] - C'_a(t_i) dt_kj."""
+    d = c1.shape[1]
+    return (-basis[:, None, :, None] * np.eye(d)[None, :, None, :]
+            - c1[:, :, None, None] * dt[:, None, :, :])
+
+
+class TestJacobian:
+    @staticmethod
+    def interior_case():
+        """Points off the curve along its normals, each foot interior."""
+        c = RankingCurve(np.array([[0, 0], [3, 5], [6, 7], [9, 6]]) / 9.0)
+        t0 = np.linspace(0.1, 0.9, 17)
+        d = derivative(c, t0)
+        normal = np.stack([-d[:, 1], d[:, 0]], 1) / np.hypot(*d.T)[:, None]
+        off = 0.05 * np.where(np.arange(t0.size) % 2, 1.0, -1.0)
+        return c, evaluate(c, t0) + off[:, None] * normal
+
+    @pytest.fixture(params=["interior", "bundled"])
+    def case(self, request, bundled_fit, bundled_table):
+        if request.param == "interior":
+            c, z = self.interior_case()
+        else:
+            c, z = bundled_fit[0], normalize(bundled_table).values
+        ts, _, _ = project_points(c, z)
+        return c, z, ts
+
+    def test_matches_central_differences(self, case):
+        c, z, ts = case
+        e, basis, c1, dt = _foot_derivatives(c, z, ts)
+        np.testing.assert_allclose(e, z - evaluate(c, ts), rtol=0, atol=1e-14)
+        jac = reference_jacobian(basis, c1, dt)
+        pts, h = c.control_points, 1e-6
+        for k in range(4):
+            for j in range(c.dim):
+                step = np.zeros_like(pts)
+                step[k, j] = h
+                fd = (foot_residuals(pts + step, z)
+                      - foot_residuals(pts - step, z)) / (2 * h)
+                np.testing.assert_allclose(jac[:, :, k, j], fd, atol=1e-6)
+
+    def test_normal_equations_sum_the_jacobian(self, case):
+        c, z, ts = case
+        e, basis, c1, dt = _foot_derivatives(c, z, ts)
+        jac = reference_jacobian(basis, c1, dt).reshape(e.size, -1)
+        jtj, grad = _normal_equations(c, z, ts)
+        np.testing.assert_allclose(jtj, jac.T @ jac, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grad, jac.T @ e.ravel(), rtol=1e-12,
+                                   atol=1e-12)
+
+    def test_end_feet_do_not_move(self, bundled_fit, bundled_table):
+        c, z = bundled_fit[0], normalize(bundled_table).values
+        ts, _, _ = project_points(c, z)
+        ends = (ts == 0.0) | (ts == 1.0)
+        assert ends.any() and not ends.all()
+        dt = _foot_derivatives(c, z, ts)[3]
+        assert not dt[ends].any() and dt[~ends].any(axis=(1, 2)).all()
+
+    def test_feet_on_and_past_the_evolute(self):
+        """On C(t) = (3t, 3t(1 - t)) at t = 1/2, |C'|^2 = 9 and C'' = (0, -6),
+        so the point (1.5, -0.75), the centre of curvature, makes the
+        denominator exactly 0, and (1.5, -2) makes it negative."""
+        c = RankingCurve([[0.0, 0.0], [1.0, 1.0], [2.0, 1.0], [3.0, 0.0]])
+        z = np.array([[1.5, -0.75], [1.5, -2.0], [1.5, 0.25]])
+        ts = np.full(3, 0.5)
+        with np.errstate(all="raise"):
+            dt = _foot_derivatives(c, z, ts)[3]
+            jtj, grad = _normal_equations(c, z, ts)
+        assert not dt[:2].any() and dt[2].any()
+        assert np.all(np.isfinite(jtj)) and np.all(np.isfinite(grad))
+
+
+def frobenius_gap(c, h):
+    return (c[0] - h[0]) ** 2 + 2.0 * (c[1] - h[1]) ** 2 + (c[2] - h[2]) ** 2
+
+
+def cone_candidates(h):
+    """The orthant point and the eigenvalue-clipped matrix, by eigh."""
+    w, v = np.linalg.eigh(np.array([[h[0], h[1]], [h[1], h[2]]]))
+    m = (v * np.maximum(w, 0.0)) @ v.T
+    return [np.maximum(h, 0.0), np.array([m[0, 0], m[0, 1], m[1, 1]])]
+
+
+_h = st.floats(-4.0, 4.0, allow_subnormal=False)
+# 1 and 2 units of rounding outside the curved face h1 = -sqrt(h0 h2), as
+# (P0, h0, h1, h2, direction); the rebuilt columns need h1 moved inwards
+_one_ulp, _two_ulp = np.nextafter(1.0, 2.0), np.nextafter(1.0, 2.0) + 2.0**-52
+_just_outside = [
+    (0.3, 0.25, -_one_ulp, 4.0, 1.0),
+    (0.3, 0.25, -_two_ulp, 4.0, 1.0),
+    (-0.75, 0.25, -_one_ulp, 4.0, -1.0),
+    (-0.7526741919580582, 0.8466528979451513, -1.1838722901519367,
+     1.6554051876408835, 1.0),
+]
+
+
+class TestConeProjection:
+    @settings(max_examples=300, deadline=None)
+    @given(_h, _h, _h, _h, st.sampled_from([1.0, -1.0]))
+    @example(*_just_outside[0])
+    @example(*_just_outside[1])
+    @example(*_just_outside[2])
+    @example(*_just_outside[3])
+    def test_rebuilt_column_is_monotone_and_nearest(self, p0, h0, h1, h2,
+                                                    sign):
+        h = (h0, h1, h2)
+        col = p0 + sign * np.cumsum([0.0, h0, h1, h2])
+        out, moved = _constrain(col[:, None], np.array([sign]))
+        got = _cone_projection(*h)
+        feasible = fitting._copositive(*(sign * np.diff(col)))
+        assert moved[0] != feasible
+        if feasible:
+            assert out.tobytes() == col[:, None].tobytes()
+        if fitting._copositive(*h):
+            assert got == h
+        assert out[0, 0] == col[0]
+        want = Monotonicity.STRICTLY_INCREASING if sign > 0 else (
+            Monotonicity.STRICTLY_DECREASING)
+        rebuilt = np.diff(out[:, 0]) * sign
+        assert fitting._copositive(*rebuilt)
+        if max(rebuilt) > 0.0:
+            stacked = np.hstack([out, out + 1.0])
+            assert is_monotone(RankingCurve(stacked), 0) is want
+        best = min(frobenius_gap(c, h) for c in cone_candidates(h))
+        assert frobenius_gap(got, h) <= best + 1e-12 * (1.0 + best)
+        # on the curved face the candidate may be off by rounding, relative
+        # or, where the products are subnormal, absolute
+        assert got[0] >= 0.0 and got[2] >= 0.0
+        assert got[1] >= 0.0 or (
+            got[1] ** 2 <= got[0] * got[2] * (1 + 2.0**-48) + 2.0**-1000)
