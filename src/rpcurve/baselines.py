@@ -34,17 +34,27 @@ from .errors import (
     DegenerateEntropy,
     LengthMismatch,
     NonPositiveAfterShift,
+    RankingError,
 )
 from .fitting import (
     RankingResult,
     assign_orders,
-    best_end_first,
-    first_principal_axis,
     make_ranking,
+    principal_segment,
 )
 from .resources import REFERENCE_NAME
 
 EPSILON = 1e-9  # floor of the shifted values the geometric/entropy ranks log
+# variant -> method name, one map per mean (see :func:`method_name`)
+ARITHMETIC_METHODS = {"normalized": "arithmetic-norm", "raw": "arithmetic"}
+GEOMETRIC_METHODS = {"normalized": "geometric", "raw": "geometric-raw"}
+
+
+def method_name(methods: dict[str, str], variant: str) -> str:
+    """The name of ``variant`` in one mean's map; ValueError if it has none."""
+    if variant not in methods:
+        raise ValueError(f"unknown variant {variant!r}")
+    return methods[variant]
 
 
 def _oriented_normalized(table: IndicatorTable) -> np.ndarray:
@@ -72,16 +82,13 @@ def arithmetic_mean_rank(
 ) -> RankingResult:
     """Weighted mean; ``raw`` variant averages raw columns directly."""
     w = _check_weights(weights, table.n_indicators)
+    method = method_name(ARITHMETIC_METHODS, variant)
     if variant == "normalized":
         vals = _oriented_normalized(table)
-        method = "arithmetic-norm"
-    elif variant == "raw":
+    else:
         vals = np.where(
             negative_mask(table.orientations), -table.values, table.values
         )
-        method = "arithmetic"
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
     return make_ranking(table.item_ids, vals @ w, method)
 
 
@@ -95,10 +102,10 @@ def geometric_mean_rank(
     positive raw values on a ratio scale (reciprocal for negative
     orientations); raises NonPositiveAfterShift otherwise.
     """
+    method = method_name(GEOMETRIC_METHODS, variant)
     if variant == "normalized":
         vals = EPSILON + (1.0 - EPSILON) * _oriented_normalized(table)
-        method = "geometric"
-    elif variant == "raw":
+    else:
         vals = np.array(table.values, dtype=float)
         bad = np.argwhere(vals <= 0.0)
         if bad.size:
@@ -109,30 +116,22 @@ def geometric_mean_rank(
                 f"{table.indicator_names[j]!r} is {vals[i, j]}"
             )
         vals = np.where(negative_mask(table.orientations), 1.0 / vals, vals)
-        method = "geometric-raw"
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
     scores = np.exp(np.mean(np.log(vals), axis=1))
     return make_ranking(table.item_ids, scores, method)
 
 
 def pca_rank(table: IndicatorTable) -> RankingResult:
-    """Orientation-signed projection onto the first principal component.
+    """Position on the line the curve fit starts from.
 
-    Projections of the normalized data are affinely mapped to [0, 1]; the
-    sign is chosen so the end with the larger mean oriented coordinate
-    scores 1 (same convention as the curve initialization, first
-    coordinate breaking exact ties).
+    The normalized rows' coordinates on their
+    :func:`~rpcurve.fitting.principal_segment` are affinely mapped to
+    [0, 1], with 1 at the segment's better end.
     """
-    z = normalize(table).values
-    v = first_principal_axis(z)
-    center = z.mean(axis=0)
-    proj = (z - center) @ v
-    smin, smax = float(proj.min()), float(proj.max())
-    a = center + smin * v
-    b = center + smax * v
-    scores = (proj - smin) / (smax - smin)
-    if best_end_first(a, b, table.orientations):
+    proj, _, _, a_better = principal_segment(
+        normalize(table).values, table.orientations
+    )
+    scores = (proj - proj.min()) / (proj.max() - proj.min())
+    if a_better:
         scores = 1.0 - scores
     return make_ranking(table.item_ids, scores, "pca")
 
@@ -200,21 +199,12 @@ class Comparison:
         }
 
     def table_csv(self) -> str:
-        """Per-item scores and orders as CSV (see :func:`csv_text`); both
-        cells are empty where a reference does not cover the item."""
-        header = ["id"]
-        for m in self.methods:
-            header += [f"{m}_score", f"{m}_order"]
-        rows = [header]
-        for i, item in enumerate(self.item_ids):
-            row: list = [item]
-            for k in range(len(self.methods)):
-                if np.isnan(self.scores[i, k]):
-                    row += ["", ""]
-                else:
-                    row += [self.scores[i, k], self.orders[i, k]]
-            rows.append(row)
-        return csv_text(rows)
+        """The items of :meth:`to_dict` as CSV (see :func:`csv_text`), a
+        cell the record lacks left empty."""
+        header = ["id"] + [f"{m}_{c}" for m in self.methods
+                           for c in ("score", "order")]
+        return csv_text([header] + [[row.get(h, "") for h in header]
+                                    for row in self.to_dict()["items"]])
 
     def correlations_csv(self) -> str:
         """Both correlation matrices as CSV rows ``statistic, method,
@@ -313,7 +303,8 @@ def compare(
 ) -> Comparison:
     """Join rankings item-wise and cross-correlate them (Spearman/Kendall).
 
-    All results must cover the identical item sequence.  An optional
+    All results must cover the identical item sequence, and no two
+    columns may share a method name (RankingError).  An optional
     reference maps a subset of ids to scores; it joins as one more column
     named ``REFERENCE_NAME``, and its correlations use the covered subset
     only.  The correlations need numpy only; they are exact and equal
@@ -329,6 +320,10 @@ def compare(
                 f"{results[0].method!r}"
             )
     methods = [r.method for r in results]
+    if reference is not None:
+        methods.append(REFERENCE_NAME)
+    if len(set(methods)) < len(methods):
+        raise RankingError(f"method names repeat: {methods}")
     n = len(ids)
     score_cols = [np.asarray(r.scores, dtype=float) for r in results]
     order_cols = [np.asarray(r.orders, dtype=int) for r in results]
@@ -345,7 +340,6 @@ def compare(
         covered = np.isfinite(ref_scores)
         ref_orders = np.zeros(n, dtype=int)
         ref_orders[covered], _ = assign_orders(ref_scores[covered])
-        methods.append(REFERENCE_NAME)
         score_cols.append(ref_scores)
         order_cols.append(ref_orders)
 

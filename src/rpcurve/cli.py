@@ -134,6 +134,8 @@ def cmd_compare(args) -> int:
     tokens = [t.strip() for t in args.methods.split(",") if t.strip()]
     if not tokens:
         raise RankingError("no methods given")
+    if len(set(tokens)) < len(tokens):
+        raise RankingError(f"a method is given twice: {args.methods}")
     reference = None
     results = []
     for token in tokens:

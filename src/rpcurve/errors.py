@@ -47,7 +47,10 @@ class BadCurveFile(LoadError):
 
 
 class DomainError(RankingError):
-    """A curve parameter t lies outside [0, 1]."""
+    """An argument lies outside the domain an operation accepts: a curve
+    parameter t outside [0, 1], a dimension index out of range, fewer
+    than one worker, or points to project that have the wrong dimension,
+    are not finite, or lie too far from the curve for its scale."""
 
 
 class DegenerateCurve(RankingError):

@@ -40,9 +40,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .baselines import (
+    ARITHMETIC_METHODS,
+    GEOMETRIC_METHODS,
     arithmetic_mean_rank,
     entropy_weight_rank,
     geometric_mean_rank,
+    method_name,
     pca_rank,
 )
 from .bezier import (
@@ -56,8 +59,6 @@ from .data import IndicatorTable, Orientation
 from .errors import PipelineFailure, RankingError
 from .fitting import FitConfig, RankingResult, fit_table, rank
 
-SCALE_FACTORS = (0.5, 2.0, 6.8, 1000.0)
-SHIFT_AMOUNTS = (100.0, 10.0, -0.5, 3.75)
 LINEAR_RESIDUAL_TOL = 1e-6  # chord offset / chord length of a straight fit
 # C' vanishes where min |C'| <= REGULARITY_TOL * max |C'| (a scale- and
 # shift-free ratio; exact cusps read about 1e-15)
@@ -181,9 +182,8 @@ def rpc_pipeline() -> RankingPipeline:
 
 
 def arithmetic_pipeline(weights=None, variant: str = "raw") -> RankingPipeline:
-    name = "arithmetic" if variant == "raw" else "arithmetic-norm"
     return RankingPipeline(
-        name=name,
+        name=method_name(ARITHMETIC_METHODS, variant),
         run=lambda table: PipelineRun(
             arithmetic_mean_rank(table, weights, variant)
         ),
@@ -192,9 +192,8 @@ def arithmetic_pipeline(weights=None, variant: str = "raw") -> RankingPipeline:
 
 
 def geometric_pipeline(variant: str = "normalized") -> RankingPipeline:
-    name = "geometric" if variant == "normalized" else "geometric-raw"
     return RankingPipeline(
-        name=name,
+        name=method_name(GEOMETRIC_METHODS, variant),
         run=lambda table: PipelineRun(geometric_mean_rank(table, variant)),
     )
 
@@ -212,34 +211,40 @@ def entropy_pipeline() -> RankingPipeline:
     )
 
 
+# criterion -> (witness kind, perturbation of the values, trial 0's
+# (dimension, value) on the perturbation's neutral vector, the values
+# that later trials rotate across the dimensions)
+_INVARIANCES = {
+    Criterion.SCALE_INVARIANCE: (
+        "scale", np.multiply, (0, 6.8), (0.5, 2.0, 6.8, 1000.0)
+    ),
+    Criterion.TRANSLATION_INVARIANCE: (
+        "shift", np.add, (1, 100.0), (100.0, 10.0, -0.5, 3.75)
+    ),
+}
+
+
+def _trial_vectors(criterion: Criterion, d: int, trials: int):
+    """The documented deterministic per-dimension perturbation sequence
+    of an invariance criterion; trial 0 moves dimension min(dim, d - 1)."""
+    _, perturb, (dim, value), cycle = _INVARIANCES[criterion]
+    first = np.full(d, float(perturb.identity))
+    first[min(dim, d - 1)] = value
+    later = [
+        np.array([cycle[(j + r) % len(cycle)] for j in range(d)])
+        for r in range(1, trials)
+    ]
+    return [first, *later][:trials]
+
+
 def scale_vectors(d: int, trials: int):
-    """The documented deterministic per-dimension scaling sequence."""
-    out = []
-    for r in range(trials):
-        if r == 0:
-            vec = np.ones(d)
-            vec[0] = 6.8
-        else:
-            vec = np.array(
-                [SCALE_FACTORS[(j + r) % len(SCALE_FACTORS)] for j in range(d)]
-            )
-        out.append(vec)
-    return out
+    """The scaling trials' vectors (see :func:`_trial_vectors`)."""
+    return _trial_vectors(Criterion.SCALE_INVARIANCE, d, trials)
 
 
 def shift_vectors(d: int, trials: int):
-    """The documented deterministic per-dimension shift sequence."""
-    out = []
-    for r in range(trials):
-        if r == 0:
-            vec = np.zeros(d)
-            vec[min(1, d - 1)] = 100.0
-        else:
-            vec = np.array(
-                [SHIFT_AMOUNTS[(j + r) % len(SHIFT_AMOUNTS)] for j in range(d)]
-            )
-        out.append(vec)
-    return out
+    """The translation trials' vectors (see :func:`_trial_vectors`)."""
+    return _trial_vectors(Criterion.TRANSLATION_INVARIANCE, d, trials)
 
 
 def _run_trial(pipeline: RankingPipeline, table: IndicatorTable,
@@ -259,13 +264,6 @@ def _first_divergence(ids, base: np.ndarray, other: np.ndarray) -> str:
     return "tie structure changed"
 
 
-# criterion -> (witness kind, trial vectors, perturbation of the values)
-_INVARIANCES = {
-    Criterion.SCALE_INVARIANCE: ("scale", scale_vectors, np.multiply),
-    Criterion.TRANSLATION_INVARIANCE: ("shift", shift_vectors, np.add),
-}
-
-
 def _invariance_check(
     pipeline: RankingPipeline,
     table: IndicatorTable,
@@ -273,8 +271,8 @@ def _invariance_check(
     criterion: Criterion,
     trials: int,
 ) -> CriterionResult:
-    kind, vector_sequence, perturb = _INVARIANCES[criterion]
-    vectors = vector_sequence(table.n_indicators, trials)
+    kind, perturb, _, _ = _INVARIANCES[criterion]
+    vectors = _trial_vectors(criterion, table.n_indicators, trials)
     for r, vec in enumerate(vectors):
         perturbed = table.with_values(perturb(table.values, vec))
         res = _run_trial(pipeline, perturbed, f"{kind} trial {r}").ranking
@@ -452,16 +450,15 @@ def check_smoothness(curve: RankingCurve) -> CriterionResult:
     )
 
 
-def _run_bytes(run: PipelineRun) -> tuple:
-    """Scores, orders and any curve's control points, as bytes."""
-    curve = None if run.curve is None else run.curve.control_points.tobytes()
-    return run.ranking.scores.tobytes(), run.ranking.orders.tobytes(), curve
-
-
 def _rerun_difference(base: PipelineRun, rerun: PipelineRun) -> dict | None:
-    """None when the rerun's bytes equal the base run's, else the witness:
-    the orders of both runs."""
-    if _run_bytes(base) == _run_bytes(rerun):
+    """None when the rerun's scores, orders and any curve's control points
+    equal the base run's as bytes, else the witness: both runs' orders."""
+    runs = [
+        (run.ranking.scores.tobytes(), run.ranking.orders.tobytes(),
+         None if run.curve is None else run.curve.control_points.tobytes())
+        for run in (base, rerun)
+    ]
+    if runs[0] == runs[1]:
         return None
     return {
         "orders_run1": base.orders.tolist(),
@@ -522,9 +519,7 @@ def _reproducibility(difference: dict | None) -> CriterionResult:
     )
 
 
-def check_open_data(
-    pipeline: RankingPipeline, table: IndicatorTable
-) -> CriterionResult:
+def check_open_data(table: IndicatorTable) -> CriterionResult:
     if table.provenance:
         return CriterionResult(
             criterion=Criterion.OPEN_DATA_DECLARED,
@@ -564,7 +559,7 @@ def audit(
         base = _run_trial(pipeline, table, "base run")
     except PipelineFailure as exc:
         results = [_criterion_error(c, exc) for c in list(Criterion)[:-1]]
-        results.append(check_open_data(pipeline, table))
+        results.append(check_open_data(table))
         return MetaCriteriaReport(pipeline=pipeline.name, results=tuple(results))
 
     results = [
@@ -603,7 +598,7 @@ def audit(
             _no_free_parameters(pipeline, base, difference),
             _reproducibility(difference),
         ]
-    results.append(check_open_data(pipeline, table))
+    results.append(check_open_data(table))
     return MetaCriteriaReport(pipeline=pipeline.name, results=tuple(results))
 
 
@@ -617,7 +612,7 @@ def replay_witness(
     if result.witness is None or "vector" not in result.witness:
         return False
     vec = np.asarray(result.witness["vector"], dtype=float)
-    perturbations = {kind: f for kind, _, f in _INVARIANCES.values()}
+    perturbations = {kind: f for kind, f, _, _ in _INVARIANCES.values()}
     perturb = perturbations.get(result.witness["kind"])
     if perturb is None:
         return False

@@ -231,24 +231,31 @@ def first_principal_axis(values: np.ndarray) -> np.ndarray:
     return v
 
 
+def principal_segment(values: np.ndarray, orientations):
+    """The rows' first-principal line: ``(proj, a, b, a_better)`` with
+    ``proj`` the rows' coordinates on :func:`first_principal_axis` through
+    their mean, ``a`` and ``b`` the line's points at the smallest and the
+    largest coordinate, and ``a_better`` whether ``a`` is the better end
+    (see :func:`best_end_first`)."""
+    v = first_principal_axis(values)
+    center = values.mean(axis=0)
+    proj = (values - center) @ v
+    a = center + proj.min() * v
+    b = center + proj.max() * v
+    return proj, a, b, best_end_first(a, b, orientations)
+
+
 def init_curve(data: NormalizedTable) -> RankingCurve:
     """Cubic curve along the first principal component of the data.
 
-    The segment between the two extreme projections is degree-elevated to a
-    cubic (interior points at 1/3 and 2/3 of the chord) and oriented so the
-    better end (see :func:`best_end_first`) sits at t=1.
+    The :func:`principal_segment` is degree-elevated to a cubic (interior
+    points at 1/3 and 2/3 of the chord) with its better end at t=1.
     """
     z = data.values
     if z.shape[0] < 4:
         raise TooFewItems(f"fit needs at least 4 items, got {z.shape[0]}")
-    v = first_principal_axis(z)
-    center = z.mean(axis=0)
-    proj = (z - center) @ v
-    a = center + proj.min() * v
-    b = center + proj.max() * v
-    if best_end_first(a, b, data.orientations):
-        a, b = b, a
-    p0, p3 = a, b
+    _, a, b, a_better = principal_segment(z, data.orientations)
+    p0, p3 = (b, a) if a_better else (a, b)
     p1 = p0 + (p3 - p0) / 3.0
     p2 = p0 + 2.0 * (p3 - p0) / 3.0
     return RankingCurve(
@@ -526,21 +533,15 @@ def rank(
     return make_ranking(table.item_ids, scores, "rpc")
 
 
-def fit_result_to_dict(
-    curve: RankingCurve, report: FitReport, ranking: RankingResult
-) -> dict:
-    return {
+def save_fit(path, curve, report, ranking) -> None:
+    """Write the curve, its transform, the fit report and the ranking as
+    JSON (see :func:`json_text`); :func:`load_curve` reads the curve back."""
+    write_text(path, json_text({
         "curve": curve_to_dict(curve),
         "report": report.to_dict(),
         "ranking": ranking.json_items(),
         "transform": curve.transform.to_dict(),
-    }
-
-
-def save_fit(path, curve, report, ranking) -> None:
-    """Write the curve, its transform, the fit report and the ranking as
-    JSON (see :func:`json_text`); :func:`load_curve` reads the curve back."""
-    write_text(path, json_text(fit_result_to_dict(curve, report, ranking)))
+    }))
 
 
 def load_curve(path) -> RankingCurve:

@@ -22,8 +22,9 @@ from rpcurve.errors import (
     BadWeights,
     LengthMismatch,
     NonPositiveAfterShift,
+    RankingError,
 )
-from rpcurve.fitting import make_ranking
+from rpcurve.fitting import init_curve, make_ranking
 
 
 def oriented(table):
@@ -129,6 +130,16 @@ class TestPca:
         s = np.asarray(pca_rank(tab).scores)
         assert s.min() == 0.0 and s.max() == 1.0
 
+    def test_scores_are_places_on_the_initial_curve(self, make_table):
+        rng = np.random.default_rng(49)
+        tab = make_table(rng.normal(size=(25, 3)),
+                         orientations=("positive", "negative", "positive"))
+        data = normalize(tab)
+        p0, _, _, p3 = init_curve(data).control_points
+        chord = p3 - p0
+        t = (data.values - p0) @ chord / (chord @ chord)
+        np.testing.assert_allclose(pca_rank(tab).scores, t, atol=1e-12)
+
 
 class TestEntropy:
     def test_weights_match_direct_formula(self, make_table):
@@ -201,6 +212,28 @@ class TestCompare:
         assert text.splitlines()[0].startswith("id,")
         corr = comp.correlations_csv()
         assert "spearman" in corr
+
+    def test_csv_cells_are_the_record_items(self):
+        ids = tuple(f"r{i}" for i in range(4))
+        a = make_ranking(ids, np.array([0.4, 0.1, 0.3, 0.2]), "a")
+        comp = compare([a], reference={"r0": 2.0, "r2": 1.0})
+        lines = comp.table_csv().splitlines()
+        assert lines[0] == "id,a_score,a_order,elmap-reference_score," \
+            "elmap-reference_order"
+        assert lines[1:] == ["r0,0.4,1,2.0,1", "r1,0.1,4,,",
+                             "r2,0.3,2,1.0,2", "r3,0.2,3,,"]
+        assert comp.to_dict()["items"][1] == {
+            "id": "r1", "a_score": 0.1, "a_order": 4}
+
+    def test_repeated_method_names_rejected(self):
+        ids = ("x", "y")
+        a = make_ranking(ids, np.array([0.1, 0.2]), "a")
+        b = make_ranking(ids, np.array([0.2, 0.1]), "a")
+        with pytest.raises(RankingError, match="repeat"):
+            compare([a, b])
+        ref = make_ranking(ids, np.array([0.1, 0.2]), "elmap-reference")
+        with pytest.raises(RankingError, match="repeat"):
+            compare([ref], reference={"x": 1.0, "y": 2.0})
 
 
 @st.composite

@@ -459,6 +459,17 @@ class TestCompare:
         payload = json.loads(out.read_text())
         assert payload["spearman"] == [[1.0]]
 
+    def test_repeated_method_exit_2(self, workdir, tmp_path, capsys):
+        out = tmp_path / "cmp.json"
+        code = main([
+            "compare", "--data", str(workdir["data"]),
+            "--schema", str(workdir["schema"]),
+            "--methods", "pca,pca", "--out", str(out),
+        ])
+        assert code == EXIT_VALIDATION
+        assert "twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_writes_correlations_file(self, workdir, tmp_path):
         out = tmp_path / "cmp.csv"
         code = main([

@@ -83,6 +83,23 @@ class TestPerturbationVectors:
             np.testing.assert_array_equal(x, y)
 
 
+class TestPipelineNames:
+    @pytest.mark.parametrize("make", [
+        lambda v: arithmetic_pipeline(variant=v),
+        lambda v: geometric_pipeline(variant=v),
+    ])
+    def test_name_is_the_ranking_method(self, make, noisy_table):
+        for variant in ("normalized", "raw"):
+            pipe = make(variant)
+            assert pipe.run(noisy_table).ranking.method == pipe.name
+
+    def test_unknown_variant_raises_when_built(self):
+        with pytest.raises(ValueError, match="bogus"):
+            arithmetic_pipeline(variant="bogus")
+        with pytest.raises(ValueError, match="bogus"):
+            geometric_pipeline(variant="bogus")
+
+
 class TestInvariance:
     def test_rpc_scale_invariant(self, noisy_table):
         res = check_scale_invariance(rpc_pipeline(), noisy_table, trials=2)
