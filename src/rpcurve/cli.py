@@ -30,7 +30,6 @@ from .data import (
 )
 from .errors import (
     DegenerateCurve,
-    DegenerateParameterSpread,
     LoadError,
     RankingError,
     TooFewItems,
@@ -136,16 +135,13 @@ def cmd_compare(args) -> int:
         raise RankingError("no methods given")
     if len(set(tokens)) < len(tokens):
         raise RankingError(f"a method is given twice: {args.methods}")
-    reference = None
-    results = []
-    for token in tokens:
-        if token == REFERENCE_TOKEN:
-            reference = baselines.elmap_reference_scores()
-            continue
-        pipeline = _pipeline_for(token)
-        results.append(pipeline.run(table)[0])
-    if not results:
+    pipelines = [_pipeline_for(t) for t in tokens if t != REFERENCE_TOKEN]
+    if not pipelines:
         raise RankingError("need at least one computable method")
+    reference = None
+    if REFERENCE_TOKEN in tokens:
+        reference = baselines.elmap_reference_scores()
+    results = [pipeline.run(table)[0] for pipeline in pipelines]
     comparison = baselines.compare(results, reference=reference)
     if args.format == "csv":
         corr_path = args.out + ".correlations.csv"
@@ -261,7 +257,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TooFewItems, DegenerateParameterSpread, DegenerateCurve) as exc:
+    except (TooFewItems, DegenerateCurve) as exc:
         print(f"fit failure: {exc}", file=sys.stderr)
         return EXIT_FIT_FAILURE
     except RankingError as exc:

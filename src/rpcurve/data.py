@@ -199,7 +199,7 @@ class NormalizedTable:
 
 def load_schema(path) -> dict[str, Orientation]:
     """Read a JSON mapping of indicator name -> 'positive' | 'negative'."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict) or not raw:
         raise SchemaError(f"schema {path} must be a non-empty JSON object")
@@ -271,7 +271,7 @@ def _read_csv(path, expected):
       the cells numpy refuses but ``float()`` accepts (``1_0``, non-ASCII
       digits), and names a fault by its file line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         content = fh.read()
     lines = _plain_lines(content)
     if lines is None:

@@ -62,11 +62,6 @@ class TooFewItems(RankingError):
     """Not enough items for the requested operation."""
 
 
-class DegenerateParameterSpread(RankingError):
-    """All projection parameters coincide; the curve-update step is
-    rank-deficient beyond what damping can stabilise."""
-
-
 class TransformMismatch(RankingError):
     """A table does not match the normalization transform stored with a
     curve (different dimension count or indicator names)."""

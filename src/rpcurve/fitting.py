@@ -70,7 +70,6 @@ from .data import (
 from .errors import (
     BadCurveFile,
     DegenerateCurve,
-    DegenerateParameterSpread,
     DomainError,
     SpreadOverflow,
     TooFewItems,
@@ -78,7 +77,6 @@ from .errors import (
 )
 from .projection import project_points, score_from_t
 
-_MIN_T_SPREAD = 1e-12
 _EPS = float(np.finfo(float).eps)
 DAMPING_START = 1e-3  # Marquardt's mu: x4 after a rejected trial, /3 after
 REL_TOL = 1e-8  # relative change of the distance below which the fit stops
@@ -348,59 +346,50 @@ def _cone_projection(h0: float, h1: float, h2: float):
 
 def _constrain(points: np.ndarray, signs: np.ndarray):
     """Control points (4 x d) whose every dimension j with signs[j] != 0 is
-    monotone in direction signs[j], and the mask of the dimensions that
-    had to move.  h = s diff(P_j) goes to its cone projection and the
-    column is rebuilt as P0_j + s cumsum(h).  The rebuild rounds, and can
-    leave h1^2 a few units above h0 h2; h1 is then moved towards 0, by
-    about 2**k units of rounding at the k-th try, until the rebuilt
+    monotone in direction signs[j], and the faces of its cone that each
+    such dimension then sits on, as (j, inward normal in h): h0 = 0
+    (P0 = P1), h2 = 0 (P2 = P3) and, where dimension j had to move and
+    lands on h1 < 0, the curved face h1^2 = h0 h2, whose normal is the
+    gradient of h0 h2 - h1^2.  h = s diff(P_j) goes to its cone projection
+    and the column is rebuilt as P0_j + s cumsum(h).  The rebuild rounds,
+    and can leave h1^2 a few units above h0 h2; h1 is then moved towards
+    0, by about 2**k units of rounding at the k-th try, until the rebuilt
     column passes."""
     out = points.copy()
-    moved = np.zeros(points.shape[1], dtype=bool)
-    h = (signs * np.diff(points, axis=0)).T.tolist()
-    for j in np.flatnonzero(signs).tolist():
-        if _copositive(*h[j]):
-            continue
-        s = signs[j]
-        h0, h1, h2 = _cone_projection(*h[j])
-        col = points[0, j] + s * np.cumsum([0.0, h0, h1, h2])
-        for k in range(53):  # h1 is 0 after k = 52, and 0 always passes
-            if _copositive(*(s * np.diff(col)).tolist()):
-                break
-            h1 -= h1 * 2.0 ** (k - 52)
-            col = points[0, j] + s * np.cumsum([0.0, h0, h1, h2])
-        out[:, j] = col
-        moved[j] = True
-    return out, moved
-
-
-def _faces(points: np.ndarray, signs: np.ndarray, projected: np.ndarray):
-    """(j, inward normal in h) of each face of its cone that dimension j
-    sits on: h0 = 0 (P0 = P1), h2 = 0 (P2 = P3) and, where the projection
-    that made these points moved dimension j to h1 < 0, the curved face
-    h1^2 = h0 h2, whose normal is the gradient of h0 h2 - h1^2."""
     faces = []
     h = (signs * np.diff(points, axis=0)).T.tolist()
     for j in np.flatnonzero(signs).tolist():
+        moved = not _copositive(*h[j])
+        if moved:
+            s = signs[j]
+            h0, h1, h2 = _cone_projection(*h[j])
+            for k in range(54):  # h1 is 0 at k = 53, and 0 always passes
+                col = points[0, j] + s * np.cumsum([0.0, h0, h1, h2])
+                h[j] = (s * np.diff(col)).tolist()
+                if _copositive(*h[j]):
+                    break
+                h1 -= h1 * 2.0 ** (k - 52)
+            out[:, j] = col
         h0, h1, h2 = h[j]
         if h0 == 0.0:
             faces.append((j, (1.0, 0.0, 0.0)))
         if h2 == 0.0:
             faces.append((j, (0.0, 0.0, 1.0)))
-        if projected[j] and h1 < 0.0:
+        if moved and h1 < 0.0:
             faces.append((j, (h2, -2.0 * h1, h0)))
-    return faces
+    return out, faces
 
 
 def _free_directions(points: np.ndarray, signs: np.ndarray,
-                     grad: np.ndarray, projected: np.ndarray) -> np.ndarray:
+                     grad: np.ndarray, faces: list) -> np.ndarray:
     """Orthonormal basis (4d x m) of the control point moves that keep to
-    the tangent plane of each face (see :func:`_faces`) that the gradient
-    of F / 2 (shaped like the points), taken along h, presses against; a
-    face the gradient would leave is free.  Steps along a face are then
-    full Gauss-Newton steps, where steps clipped onto it crawl."""
+    the tangent plane of each face (see :func:`_constrain`) that the
+    gradient of F / 2 (shaped like the points), taken along h, presses
+    against; a face the gradient would leave is free.  Steps along a face
+    are then full Gauss-Newton steps, where steps clipped onto it crawl."""
     rows = []
     by_h = signs * np.cumsum(grad[:0:-1], axis=0)[::-1]  # dF/2 by h0, h1, h2
-    for j, normal in _faces(points, signs, projected):
+    for j, normal in faces:
         s, n = signs[j], np.array(normal)
         if n @ by_h[:, j] >= 0.0:
             row = np.zeros(points.shape)
@@ -438,26 +427,22 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
 
     start = init_curve(data).control_points
     signs = np.sign(start[3] - start[0])
+    # the start is a line, so this finds its flat faces and moves nothing
+    start, faces = _constrain(start, signs)
     curve, ts, total = project(start)
     distances = [total]
     floor = z.size * ROUNDING**2
     damping = DAMPING_START
-    projected = np.zeros(z.shape[1], dtype=bool)
     stop_reason = "max_iters"
     rel = None
     while projections < MAX_PROJECTIONS:
         if total <= floor:
             stop_reason = "tol"
             break
-        if float(ts.max() - ts.min()) <= _MIN_T_SPREAD:
-            raise DegenerateParameterSpread(
-                "all projection parameters coincide; cannot update curve"
-            )
         jtj, grad = _normal_equations(curve, z, ts)
         scale = np.diag(np.diag(jtj))
         pts = curve.control_points
-        basis = _free_directions(pts, signs, grad.reshape(pts.shape),
-                                 projected)
+        basis = _free_directions(pts, signs, grad.reshape(pts.shape), faces)
         accepted = stationary = False
         trials = 0
         while not accepted and projections < MAX_PROJECTIONS:
@@ -467,7 +452,7 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
             lhs = basis.T @ (jtj + damping * scale) @ basis
             delta = basis @ np.linalg.lstsq(lhs, -basis.T @ grad,
                                             rcond=None)[0]
-            trial, moved = _constrain(pts + delta.reshape(pts.shape), signs)
+            trial, held = _constrain(pts + delta.reshape(pts.shape), signs)
             if np.array_equal(trial, pts):  # stationary on the cone
                 stationary = True
                 break
@@ -476,7 +461,7 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
             accepted = step[2] <= total
             if accepted:
                 curve, ts, total = step
-                projected = moved
+                faces = held
                 distances.append(total)
                 damping /= 3.0
             else:
@@ -486,7 +471,7 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
             break
 
     pts = curve.control_points
-    active = {j for j, _ in _faces(pts, signs, projected)}
+    active = {j for j, _ in faces}
     if best_end_first(pts[0], pts[3], data.orientations):
         curve = RankingCurve(
             control_points=pts[::-1].copy(),
@@ -550,7 +535,7 @@ def load_curve(path) -> RankingCurve:
     the ``curve`` or ``transform`` entry, if its control points do not form
     a curve (not 4 x d, not finite, or P0 = P3), or if the transform does
     not fit the control points or has a spread too wide to scale."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         payload = json.load(fh)
     try:
         transform = NormalizationTransform.from_dict(payload["transform"])

@@ -191,6 +191,10 @@ class TestCompare:
         b = make_ranking(("x", "z"), np.array([0.1, 0.2]), "b")
         with pytest.raises(LengthMismatch):
             compare([a, b])
+        with pytest.raises(LengthMismatch, match="nothing to compare"):
+            compare([])
+        with pytest.raises(LengthMismatch, match="fewer than 2"):
+            compare([a], reference={"y": 1.0, "z": 2.0})
 
     def test_reference_joins_as_subset_column(self):
         ids = tuple(f"r{i}" for i in range(6))

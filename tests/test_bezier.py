@@ -85,6 +85,9 @@ class TestEvaluate:
             evaluate(c, 1.5)
         with pytest.raises(DomainError):
             evaluate(c, -0.01)
+        for dim in (-1, 1):
+            with pytest.raises(DomainError, match="out of range"):
+                is_monotone(c, dim)
 
 
 class TestIsMonotone:

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import rpcurve
+from rpcurve import evaluation
+from rpcurve.baselines import elmap_reference_scores
 from rpcurve.cli import (
     EXIT_CHECK_FAILED,
     EXIT_FIT_FAILURE,
@@ -163,6 +165,28 @@ class TestFit:
         assert capsys.readouterr().err == (
             f"error: {data}:7: field larger than field limit (131072)\n"
         )
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """Excel's "CSV UTF-8" starts the file with a BOM."""
+        outputs = {}
+        for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+            root = tmp_path / name
+            root.mkdir()
+            data, schema = root / "data.csv", root / "schema.json"
+            for path, source in ((data, bundled_data_path()),
+                                 (schema, bundled_schema_path())):
+                path.write_text(prefix + Path(source).read_text("utf-8"),
+                                encoding="utf-8")
+            assert main(["fit", "--data", str(data), "--schema", str(schema),
+                         "--out", str(root / "fit.json")]) == EXIT_OK
+            curve = root / "curve.json"
+            curve.write_text(prefix + (root / "fit.json").read_text("utf-8"),
+                             encoding="utf-8")
+            assert main(["rank", "--data", str(data), "--curve", str(curve),
+                         "--out", str(root / "rank.csv")]) == EXIT_OK
+            outputs[name] = [(root / f).read_bytes()
+                             for f in ("fit.json", "rank.csv")]
+        assert outputs["bom"] == outputs["plain"]
 
     def test_deterministic_bytes(self, workdir, tmp_path):
         # every command that writes files writes the same bytes twice
@@ -469,6 +493,56 @@ class TestCompare:
         assert code == EXIT_VALIDATION
         assert "twice" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unknown_method_runs_no_fit(self, workdir, tmp_path, capsys,
+                                        monkeypatch):
+        fits = []
+        monkeypatch.setattr(evaluation, "fit_table",
+                            lambda *args: fits.append(args))
+        out = tmp_path / "cmp.json"
+        code = main([
+            "compare", "--data", str(workdir["data"]),
+            "--schema", str(workdir["schema"]),
+            "--methods", "rpc,bogus", "--out", str(out),
+        ])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: unknown method 'bogus'\n"
+        assert fits == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("methods, message", [
+        ("elmap-reference", "need at least one computable method"),
+        (" , ", "no methods given"),
+    ])
+    def test_no_computable_method_exit_2(self, workdir, tmp_path, capsys,
+                                         methods, message):
+        out = tmp_path / "cmp.json"
+        code = main([
+            "compare", "--data", str(workdir["data"]),
+            "--schema", str(workdir["schema"]),
+            "--methods", methods, "--out", str(out),
+        ])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_reference_column_on_bundled_data(self, tmp_path):
+        out = tmp_path / "cmp.json"
+        code = main([
+            "compare", "--data", str(bundled_data_path()),
+            "--schema", str(bundled_schema_path()),
+            "--methods", "pca,elmap-reference", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["methods"] == ["pca", "elmap-reference"]
+        got = {
+            item["id"]: item["elmap-reference_score"]
+            for item in payload["items"] if "elmap-reference_score" in item
+        }
+        assert got == elmap_reference_scores()
+        assert len(got) == 10
+        assert all("pca_score" in item for item in payload["items"])
 
     def test_csv_writes_correlations_file(self, workdir, tmp_path):
         out = tmp_path / "cmp.csv"

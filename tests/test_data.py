@@ -68,6 +68,26 @@ class TestIndicatorTable:
                 values=np.array([[1.0]]),
             )
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"values": np.zeros(4)}, "values must be a 2-D array"),
+        ({"item_ids": ("x",)}, "1 ids for 2 rows of values"),
+        ({"indicator_names": ("a",)}, "1 indicator names for 2 columns"),
+        ({"orientations": (Orientation.POSITIVE,)},
+         "1 orientations for 2 columns"),
+        ({"values": np.zeros((2, 0)), "indicator_names": (),
+          "orientations": ()}, "need at least 1 indicator"),
+    ])
+    def test_shape_errors(self, fields, message):
+        good = {
+            "item_ids": ("x", "y"),
+            "indicator_names": ("a", "b"),
+            "orientations": (Orientation.POSITIVE,) * 2,
+            "values": np.array([[1.0, 2.0], [3.0, 4.0]]),
+        }
+        with pytest.raises(SchemaError) as exc:
+            IndicatorTable(**(good | fields))
+        assert str(exc.value) == message
+
     def test_rejects_nonfinite(self, make_table):
         with pytest.raises(Exception):
             make_table([[1.0, np.nan], [2.0, 3.0]])
@@ -189,6 +209,10 @@ FAULTS = [
     pytest.param(f'id,a,b\nx,1,10\n"{LONG_ID}",2,20\n', SchemaError,
                  "{p}:3: field larger than field limit (131072)",
                  id="long-quoted-id"),
+    pytest.param("id,a,b\n\n", SchemaError, "{p}: no data rows",
+                 id="header-only"),
+    pytest.param("id\nx\ny\n", SchemaError, "{p}: no indicator columns",
+                 id="ids-only"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Meta-criteria audit machinery on small synthetic tables."""
 
 import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +144,15 @@ class TestInvariance:
         )
         assert not replay_witness(pipe, noisy_table, fake)
 
+    def test_witness_replay_needs_an_invariance_witness(self, noisy_table):
+        pipe = arithmetic_pipeline(variant="raw")
+        res = check_scale_invariance(pipe, noisy_table, trials=4)
+        assert replay_witness(pipe, noisy_table, res)
+        for witness in (None, {"dimensions": []},
+                        res.witness | {"kind": "rotation"}):
+            fake = dataclasses.replace(res, witness=witness)
+            assert not replay_witness(pipe, noisy_table, fake)
+
 
 class TestMonotonicityCheck:
     def test_collinear_fit_is_monotone(self):
@@ -151,6 +161,25 @@ class TestMonotonicityCheck:
         curve = pipe.run(tab)[1]
         res = check_monotonicity(curve, tab.orientations)
         assert res.verdict is Verdict.PASS
+
+    def test_arch_and_wrong_direction_fail_with_witness(self):
+        curve = RankingCurve(
+            np.array([[0.0, 0.0], [1.0, 0.3], [1.0, 0.6], [0.5, 1.0]]))
+        res = check_monotonicity(
+            curve, (Orientation.POSITIVE, Orientation.NEGATIVE))
+        assert res.verdict is Verdict.FAIL
+        assert res.evidence == (
+            "dim 0 (positive): not-monotone, expected strictly-increasing; "
+            "dim 1 (negative): strictly-increasing, expected "
+            "strictly-decreasing"
+        )
+        assert res.witness == {"dimensions": [
+            {"dim": 0, "orientation": "positive", "verdict": "not-monotone",
+             "expected": "strictly-increasing"},
+            {"dim": 1, "orientation": "negative",
+             "verdict": "strictly-increasing",
+             "expected": "strictly-decreasing"},
+        ]}
 
 
 class TestLinearCompatibility:
@@ -462,6 +491,23 @@ class TestAudit:
         for c in Criterion:
             assert c.value in text
 
+    def test_to_dict_is_a_json_record(self, noisy_table):
+        report = audit(arithmetic_pipeline(variant="raw"), noisy_table,
+                       trials=1)
+        payload = json.loads(json.dumps(report.to_dict()))
+        assert payload["pipeline"] == "arithmetic"
+        assert payload["all_applicable_pass"] is False
+        criteria = payload["criteria"]
+        assert [c["criterion"] for c in criteria] == [
+            c.value for c in Criterion]
+        assert criteria[0]["verdict"] == "Fail"
+        assert criteria[0]["witness"]["kind"] == "scale"
+        assert criteria[2] == {
+            "criterion": "StrictMonotonicity",
+            "verdict": "NotApplicable",
+            "evidence": "method produces no evaluation curve",
+        }
+
 
 class TestAuditRuns:
     @pytest.mark.parametrize("trials", [1, 2])
@@ -527,6 +573,73 @@ class TestAuditRuns:
                 assert r.evidence.startswith("pipeline error:")
             else:
                 assert not r.evidence.startswith("pipeline error:")
+
+    @pytest.mark.parametrize("call, label, criterion", [
+        (3, "scale trial 1", Criterion.SCALE_INVARIANCE),
+        (4, "shift trial 0", Criterion.TRANSLATION_INVARIANCE),
+        (6, "linear-compatibility run", Criterion.LINEAR_COMPATIBILITY),
+    ])
+    def test_failed_perturbed_run_fails_only_its_criterion(
+        self, noisy_table, rpc_audit, call, label, criterion
+    ):
+        """With T = 2 the runs are: base, two scale trials, two shift
+        trials, the collinear run, the rerun."""
+        pipe = rpc_pipeline()
+        runs = []
+
+        def flaky(table):
+            runs.append(table)
+            if len(runs) == call:
+                raise ValueError("perturbed run broke")
+            return pipe.run(table)
+
+        report = audit(RankingPipeline("rpc", flaky), noisy_table, trials=2)
+        message = f"pipeline 'rpc' failed during {label}: perturbed run broke"
+        for got, want in zip(report.results, rpc_audit.results):
+            if got.criterion is criterion:
+                assert got.verdict is Verdict.FAIL
+                assert got.evidence == f"pipeline error: {message}"
+                assert got.witness == {"error": message}
+            else:
+                assert got == want
+
+    def test_differing_rerun_fails_both_rerun_criteria(self, noisy_table):
+        pipe = pca_pipeline()
+        runs = []
+
+        def drifting(table):
+            runs.append(table)
+            ranking = pipe.run(table).ranking
+            if len(runs) == 4:  # base, one scale, one shift, then the rerun
+                ranking = make_ranking(table.item_ids, ranking.scores[::-1],
+                                       ranking.method)
+            return PipelineRun(ranking)
+
+        report = audit(RankingPipeline("pca", drifting), noisy_table,
+                       trials=1)
+        steady = audit(pipe, noisy_table, trials=1)
+        base = pipe.run(noisy_table).ranking
+        witness = {
+            "orders_run1": base.orders.tolist(),
+            "orders_run2": make_ranking(
+                base.item_ids, base.scores[::-1], "pca").orders.tolist(),
+        }
+        assert witness["orders_run1"] != witness["orders_run2"]
+        free = report.get(Criterion.NO_FREE_PARAMETERS)
+        assert free.verdict is Verdict.FAIL
+        assert free.evidence == "repeated runs are not bit-identical"
+        assert free.witness == witness
+        repro = report.get(Criterion.REPRODUCIBILITY)
+        assert repro.verdict is Verdict.FAIL
+        assert repro.evidence == "repeated runs differ"
+        assert repro.witness == witness
+        rerun_criteria = {
+            Criterion.NO_FREE_PARAMETERS,
+            Criterion.REPRODUCIBILITY,
+        }
+        for got, want in zip(report.results, steady.results):
+            if got.criterion not in rerun_criteria:
+                assert got == want
 
 
 class TestNamedTables:

@@ -317,6 +317,9 @@ class TestRank:
         )
         with pytest.raises(TransformMismatch):
             rank(other, curve)
+        bare = dataclasses.replace(curve, transform=None)
+        with pytest.raises(TransformMismatch, match="no normalization"):
+            rank(t, bare)
 
     def test_rank_of_training_data_matches_projection(self, make_table):
         t = line_table(make_table, n=25, d=3, noise=0.05, seed=16)
@@ -574,10 +577,11 @@ class TestConeProjection:
                                                     sign):
         h = (h0, h1, h2)
         col = p0 + sign * np.cumsum([0.0, h0, h1, h2])
-        out, moved = _constrain(col[:, None], np.array([sign]))
+        out, _ = _constrain(col[:, None], np.array([sign]))
+        moved = out.tobytes() != col[:, None].tobytes()
         got = _cone_projection(*h)
         feasible = fitting._copositive(*(sign * np.diff(col)))
-        assert moved[0] != feasible
+        assert moved != feasible
         if feasible:
             assert out.tobytes() == col[:, None].tobytes()
         if fitting._copositive(*h):

@@ -97,6 +97,11 @@ class TestProjectPoint:
             project_point(c, np.array([0.5, 0.5, 0.5]))
         with pytest.raises(DomainError):
             project_points(c, np.array([[np.inf, 0.0]]))
+        # scaled to the curve's size, the offset overflows
+        tiny = curve(c.control_points * 1e-300)
+        with np.errstate(all="ignore"), pytest.raises(
+                DomainError, match="too far from the curve"):
+            project_points(tiny, np.array([[1e10, 1e10]]))
 
 
 class TestProjectPoints:
