@@ -17,8 +17,12 @@ The candidates are t = 0, g's + to - roots (its - to + ones are maxima),
 the depth-cap midpoints (near a double root of g, where the point is on
 the evolute) and t = 1.  The squared distance at each comes from de
 Casteljau and the smallest wins; values within rounding of the smallest
-are ties, which go to the smaller t.  Both minima are per-row scatter-mins
-over the candidates.  An endpoint result is ``clamped`` when g points out
+are ties, which go to the smaller t.  Far from the curve the squared
+distances to the two ends round alike, so t = 0 ties with t = 1 only when
+their exact difference <y + (x - P3), P3 - P0> is within its own rounding;
+a point far beyond the end at t = 1 goes there.  Both minima are per-row
+scatter-mins over the candidates.  Squared distances that overflow raise
+DomainError.  An endpoint result is ``clamped`` when g points out
 of [0, 1] there.
 
 Curve and points are first scaled by the exact power of two that brings
@@ -120,21 +124,31 @@ def _project_block(kern: _Kernel, pts: np.ndarray):
         inner_rows, inner = np.r_[inner_rows, m_rows], np.r_[inner, mids]
 
     # C(0) and C(1) are P0 and P3 exactly, so the ends need no de Casteljau
-    d2 = _squared_norms(
-        np.concatenate([y, y3, pts[inner_rows] - _casteljau(cp, inner)]))
-    d2_0, d2_1, d2_in = d2[:n], d2[n:2 * n], d2[2 * n:]
-    d2_min = np.minimum(d2_0, d2_1)
-    np.minimum.at(d2_min, inner_rows, d2_in)
-    # de Casteljau rounds C(t) by a few eps times the largest control
-    # coordinate, so a squared distance d^2 is known to about eps (d^2 +
-    # 2 d s), s = sqrt(dim) max |P|.  Squared distances that close to a
-    # row's smallest are ties, and a tie goes to the smallest t: feet that
-    # are equally far in exact arithmetic are chosen alike, whatever their
-    # last bits.  Equal t give equal d^2 bits.  A row keeps the sentinel
-    # t = 2 when only t = 1 is near it.
-    s = np.sqrt(cp.shape[1]) * np.abs(cp).max()
-    lim = d2_min + TIE_RTOL * (d2_min + 2.0 * s * np.sqrt(d2_min))
-    t_best = np.where(d2_0 <= lim, 0.0, 2.0)
+    with np.errstate(over="ignore"):
+        d2 = _squared_norms(
+            np.concatenate([y, y3, pts[inner_rows] - _casteljau(cp, inner)]))
+        d2_0, d2_1, d2_in = d2[:n], d2[n:2 * n], d2[2 * n:]
+        d2_min = np.minimum(d2_0, d2_1)
+        np.minimum.at(d2_min, inner_rows, d2_in)
+        # de Casteljau rounds C(t) by a few eps times the largest control
+        # coordinate, so a squared distance d^2 is known to about eps (d^2
+        # + 2 d s), s = sqrt(dim) max |P|.  Squared distances that close to
+        # a row's smallest are ties, and a tie goes to the smallest t: feet
+        # that are equally far in exact arithmetic are chosen alike,
+        # whatever their last bits.  Equal t give equal d^2 bits.  A row
+        # keeps the sentinel t = 2 when only t = 1 is near it.
+        s = np.sqrt(cp.shape[1]) * np.abs(cp).max()
+        lim = d2_min + TIE_RTOL * (d2_min + 2.0 * s * np.sqrt(d2_min))
+    if not (np.all(np.isfinite(d2)) and np.all(np.isfinite(lim))):
+        raise DomainError("points lie too far from the curve for its scale")
+    # Far from the curve d2_0 and d2_1 round alike, so t = 0 is near only
+    # where d2_0 - d2_1 = <y + y3, P3 - P0>, computed without that
+    # cancellation, is not positive beyond its own rounding (TIE_RTOL of
+    # its terms' magnitudes bounds it for dim up to 13).
+    w = cp[3] - cp[0]
+    gap = np.sum((y + y3) * w, axis=-1)
+    bound = TIE_RTOL * np.sum((np.abs(y) + np.abs(y3)) * np.abs(w), axis=-1)
+    t_best = np.where((d2_0 <= lim) & (gap <= bound), 0.0, 2.0)
     near = d2_in <= lim[inner_rows]
     np.minimum.at(t_best, inner_rows[near], inner[near])
     np.minimum(t_best, 1.0, out=t_best)

@@ -234,7 +234,7 @@ class TestFit:
     def test_bundled_fit_converges_by_tolerance(self, bundled_table):
         _, report, projections = counted_fit(bundled_table)
         assert report.converged and report.stop_reason == "tol"
-        assert projections < MAX_PROJECTIONS
+        assert projections <= 24  # Gauss-Newton steps alone took 38
         assert report.iterations == len(report.distances) <= projections
         assert 0.0 <= report.last_rel_change < REL_TOL
         assert np.all(np.diff(report.distances) <= 0.0)
@@ -447,7 +447,10 @@ class TestMonotoneFit:
                                                          make_table):
         latent, values = noisy30(seed)
         table = make_table(values)
-        curve, _ = fit_table(table)
+        curve, report = fit_table(table)
+        # Newton trials that their model rejects are not projected: seed 7
+        # took 91 projections when they were
+        assert report.stop_reason == "tol" and report.projections <= 60
         verdict = check_monotonicity(curve, table.orientations)
         assert verdict.verdict is Verdict.PASS, verdict.evidence
         rho = scipy.stats.spearmanr(rank(table, curve).scores, latent)[0]
@@ -459,6 +462,8 @@ class TestMonotoneFit:
         t = np.sort(np.random.default_rng(3).uniform(size=40))
         table = make_table(np.stack([t, 0.3 * t + 0.4 * np.sin(np.pi * t)], 1))
         curve, report = fit_table(table)
+        assert report.stop_reason == "tol"
+        assert report.projections <= 48  # Gauss-Newton steps alone took 94
         assert report.active_constraints == ("c1",)
         assert report.to_dict()["active_constraints"] == ["c1"]
         assert report.monotonicity == (Monotonicity.STRICTLY_INCREASING,) * 2
@@ -498,10 +503,16 @@ class TestJacobian:
         return c, z, ts
 
     def test_matches_central_differences(self, case):
+        """Rows whose foot is at an end are left out of the differences:
+        on the bundled fit that is row 0, at t = 1 with g(1) = 6e-8, whose
+        foot a step of 1e-6 moves off the end, where e has a kink.
+        :meth:`test_end_feet_do_not_move` covers end feet."""
         c, z, ts = case
-        e, basis, c1, dt = _foot_derivatives(c, z, ts)
+        e, basis, c1, dt, _ = _foot_derivatives(c, z, ts)
         np.testing.assert_allclose(e, z - evaluate(c, ts), rtol=0, atol=1e-14)
         jac = reference_jacobian(basis, c1, dt)
+        inner = (ts > 0.0) & (ts < 1.0)
+        assert inner.sum() >= z.shape[0] - 1
         pts, h = c.control_points, 1e-6
         for k in range(4):
             for j in range(c.dim):
@@ -509,13 +520,14 @@ class TestJacobian:
                 step[k, j] = h
                 fd = (foot_residuals(pts + step, z)
                       - foot_residuals(pts - step, z)) / (2 * h)
-                np.testing.assert_allclose(jac[:, :, k, j], fd, atol=1e-6)
+                np.testing.assert_allclose(jac[inner, :, k, j], fd[inner],
+                                           atol=1e-6)
 
     def test_normal_equations_sum_the_jacobian(self, case):
         c, z, ts = case
-        e, basis, c1, dt = _foot_derivatives(c, z, ts)
+        e, basis, c1, dt, _ = _foot_derivatives(c, z, ts)
         jac = reference_jacobian(basis, c1, dt).reshape(e.size, -1)
-        jtj, grad = _normal_equations(c, z, ts)
+        jtj, grad, _ = _normal_equations(c, z, ts)
         np.testing.assert_allclose(jtj, jac.T @ jac, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grad, jac.T @ e.ravel(), rtol=1e-12,
                                    atol=1e-12)
@@ -537,9 +549,54 @@ class TestJacobian:
         ts = np.full(3, 0.5)
         with np.errstate(all="raise"):
             dt = _foot_derivatives(c, z, ts)[3]
-            jtj, grad = _normal_equations(c, z, ts)
+            jtj, grad, hess = _normal_equations(c, z, ts)
         assert not dt[:2].any() and dt[2].any()
         assert np.all(np.isfinite(jtj)) and np.all(np.isfinite(grad))
+        assert np.all(np.isfinite(hess))
+        np.testing.assert_array_equal(hess, hess.T)
+
+
+def envelope_terms(points, z):
+    """Each row's term of the gradient of F / 2 by the envelope theorem,
+    -B(t_i) e_i^T (n x 4 x d), with the row projected again onto the curve
+    of ``points``."""
+    c = RankingCurve(points)
+    ts, _, _ = project_points(c, z)
+    basis = np.stack([(1 - ts) ** 3, 3 * ts * (1 - ts) ** 2,
+                      3 * ts**2 * (1 - ts), ts**3], 1)
+    return -basis[:, :, None] * (z - evaluate(c, ts))[:, None, :]
+
+
+class TestHessian:
+    @pytest.mark.parametrize("name", ["interior", "bundled"])
+    def test_matches_central_differences(self, name, bundled_fit,
+                                         bundled_table):
+        """Each row's H is the derivative of its envelope gradient term
+        with its foot moving.  On the bundled fit only rows with an
+        interior foot count: row 0 sits at t = 1 with g(1) = 6e-8, so a
+        step of 1e-6 moves its foot off the end, where F has a kink."""
+        if name == "interior":
+            c, z = TestJacobian.interior_case()
+        else:
+            c, z = bundled_fit[0], normalize(bundled_table).values
+            ts, _, _ = project_points(c, z)
+            z = z[(ts > 0.0) & (ts < 1.0)]
+        ts, _, _ = project_points(c, z)
+        _, grad, hess = _normal_equations(c, z, ts)
+        pts, h = c.control_points, 1e-6
+        np.testing.assert_allclose(
+            grad, envelope_terms(pts, z).sum(axis=0).ravel(), rtol=0,
+            atol=1e-12)
+        np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-12)
+        fd = np.empty((z.shape[0], pts.size, pts.size))
+        for col in range(pts.size):
+            step = h * np.eye(pts.size)[col].reshape(pts.shape)
+            fd[:, :, col] = (envelope_terms(pts + step, z)
+                             - envelope_terms(pts - step, z)).reshape(
+                                 z.shape[0], -1) / (2 * h)
+        for i in range(z.shape[0]):
+            row = _normal_equations(c, z[i:i + 1], ts[i:i + 1])[2]
+            np.testing.assert_allclose(row, fd[i], rtol=0, atol=1e-8)
 
 
 def frobenius_gap(c, h):

@@ -1,5 +1,6 @@
 """Orthogonal projection onto the curve, checked against brute force."""
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -23,8 +24,14 @@ from rpcurve.bezier import (
     evaluate,
     second_derivative,
 )
-from rpcurve.data import apply_transform, load_bundled_table, normalize
+from rpcurve.data import (
+    apply_transform,
+    load_bundled_table,
+    negative_mask,
+    normalize,
+)
 from rpcurve.errors import DomainError
+from rpcurve.fitting import rank
 from rpcurve.projection import (
     BLOCK,
     TIE_RTOL,
@@ -262,7 +269,13 @@ def reference_block(kern, pts):
     d2_min = np.minimum.reduceat(d2, np.searchsorted(rows, np.arange(n)))
     s = np.sqrt(cp.shape[1]) * np.abs(cp).max()
     slack = TIE_RTOL * (d2_min + 2.0 * s * np.sqrt(d2_min))
-    near = np.flatnonzero(d2 <= (d2_min + slack)[rows])
+    # t = 0 is not near where t = 1 is nearer beyond the rounding of
+    # d2_0 - d2_1 = <y + y3, P3 - P0>
+    w = cp[3] - cp[0]
+    far0 = np.sum((y + y3) * w, axis=-1) > TIE_RTOL * np.sum(
+        (np.abs(y) + np.abs(y3)) * np.abs(w), axis=-1)
+    near = np.flatnonzero((d2 <= (d2_min + slack)[rows])
+                          & ~((cand == 0.0) & far0[rows]))
     best = near[np.searchsorted(rows[near], np.arange(n))]
     t_best = cand[best]
     hodo = 3.0 * np.diff(cp, axis=0)
@@ -454,6 +467,42 @@ class TestExactness:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+
+def beyond_an_end(table, k, best=True):
+    """The table with one row appended, k column ranges beyond every
+    indicator's best value (or its worst)."""
+    v = table.values
+    up = ~negative_mask(table.orientations) == best
+    row = np.where(up, v.max(0), v.min(0)) + np.where(up, k, -k) * np.ptp(v, 0)
+    return dataclasses.replace(table, item_ids=table.item_ids + ("far",),
+                               values=np.vstack([v, row]))
+
+
+class TestFarBeyondAnEnd:
+    """Far from the curve |x - P0|^2 and |x - P3|^2 round alike; the end
+    nearer in exact arithmetic must still win."""
+
+    @pytest.mark.parametrize("k", [1e15, 1e16, 1e18, 1e153])
+    def test_best_and_worst_rows_score_1_and_0(self, k, bundled_fit,
+                                                bundled_table):
+        curve_ = bundled_fit[0]
+        n = bundled_table.values.shape[0] + 1
+        top = rank(beyond_an_end(bundled_table, k), curve_)
+        assert (top.scores[-1], top.orders[-1]) == (1.0, 1)
+        bottom = rank(beyond_an_end(bundled_table, k, best=False), curve_)
+        assert (bottom.scores[-1], bottom.orders[-1]) == (0.0, n)
+
+    def test_nearer_end_wins_where_the_squares_round_alike(self):
+        # |x - P0|^2 = (1 + 8.4e-113)^2 and |x - P3|^2 = 1 both round to 1
+        c = curve([[8.40692509e-113], [2.80230836e-113], [0.0], [0.0]])
+        assert project_point(c, np.array([-1.0])).t == 1.0
+
+    def test_overflowing_distance_is_a_domain_error(self, bundled_fit,
+                                                    bundled_table):
+        for best in (True, False):
+            with pytest.raises(DomainError, match="too far from the curve"):
+                rank(beyond_an_end(bundled_table, 1e155, best), bundled_fit[0])
 
 
 class TestScore:
