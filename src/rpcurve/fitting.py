@@ -29,7 +29,8 @@ wastes trials; near it the Newton steps converge fast: the bundled fit
 takes 19 projections where Gauss-Newton alone took 38.  H is F's own
 second-order model, so a Newton trial whose step, after the cone
 projection, does not lower that model is rejected without projecting
-the items.
+the items; after ``MAX_PROJECTIONS`` such trials the fit models F by J^T J
+alone, so that every trial counts against the cap.
 
 The constraint keeps C'_j / 3, with Bernstein coefficients h = s_j diff(P_j),
 in the cone that :func:`rpcurve.bezier.is_monotone` tests, so a converged
@@ -429,7 +430,8 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
     Each step models F by J^T J, or by its exact Hessian after an accepted
     iteration that lowered F by less than ``NEWTON_SWITCH`` relatively;
     the damping is Marquardt's mu diag(J^T J) either way.  A Newton trial
-    that the Hessian model says does not descend is rejected unprojected.
+    that the Hessian model says does not descend is rejected unprojected,
+    at most ``MAX_PROJECTIONS`` times in a fit.
     ``MAX_PROJECTIONS`` caps the projections, rejected trials included.
     The recorded distances are those of the accepted iterates, so they never
     increase, and the returned curve is the last accepted one.  After the
@@ -463,12 +465,12 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
     stop_reason = "max_iters"
     rel = None
     newton = False
+    unprojected = 0  # Newton trials rejected by their model
     while projections < MAX_PROJECTIONS:
         if total <= floor:
             stop_reason = "tol"
             break
         jtj, grad, hess = _normal_equations(curve, z, ts)
-        model = hess if newton else jtj
         scale = np.diag(np.diag(jtj))
         pts = curve.control_points
         basis = _free_directions(pts, signs, grad.reshape(pts.shape), faces)
@@ -476,6 +478,7 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
         trials = 0
         while not accepted and projections < MAX_PROJECTIONS:
             trials += 1
+            model = hess if newton and unprojected < MAX_PROJECTIONS else jtj
             # least squares: J is singular where no foot holds the curve,
             # as along a tail beyond the data
             lhs = basis.T @ (model + damping * scale) @ basis
@@ -486,10 +489,13 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
                 stationary = True
                 break
             move = (trial - pts).ravel()
-            if newton and grad @ move + 0.5 * move @ hess @ move >= 0.0:
+            if model is hess and grad @ move + 0.5 * move @ hess @ move >= 0.0:
                 # the cone projection turned the Newton step into one that
                 # F's own second-order model says does not descend: a
-                # rejected trial, known without projecting
+                # rejected trial, known without projecting.  After
+                # MAX_PROJECTIONS of them the fit models F by J^T J alone,
+                # whose trials all count against the cap
+                unprojected += 1
                 damping *= 4.0
                 continue
             step = project(trial)

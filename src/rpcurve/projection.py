@@ -143,11 +143,17 @@ def _project_block(kern: _Kernel, pts: np.ndarray):
         raise DomainError("points lie too far from the curve for its scale")
     # Far from the curve d2_0 and d2_1 round alike, so t = 0 is near only
     # where d2_0 - d2_1 = <y + y3, P3 - P0>, computed without that
-    # cancellation, is not positive beyond its own rounding (TIE_RTOL of
-    # its terms' magnitudes bounds it for dim up to 13).
+    # cancellation, is not positive beyond its own rounding.  With u =
+    # 2**-53, each of its dim terms is off by at most 4 u (|y| + |y3|)
+    # |P3 - P0| and their sum adds (dim - 1) u of those magnitudes, so
+    # (dim + 3) u bounds it; TIE_RTOL = 16 u does for dim up to 13.
+    # P3 - P0 is scaled by a power of two to a largest entry in [0.5, 1),
+    # so that the products do not underflow where the ends are close.
+    rtol = max(TIE_RTOL, (cp.shape[1] + 3) * 2.0**-53)
     w = cp[3] - cp[0]
+    w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
     gap = np.sum((y + y3) * w, axis=-1)
-    bound = TIE_RTOL * np.sum((np.abs(y) + np.abs(y3)) * np.abs(w), axis=-1)
+    bound = rtol * np.sum((np.abs(y) + np.abs(y3)) * np.abs(w), axis=-1)
     t_best = np.where((d2_0 <= lim) & (gap <= bound), 0.0, 2.0)
     near = d2_in <= lim[inner_rows]
     np.minimum.at(t_best, inner_rows[near], inner[near])

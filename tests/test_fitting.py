@@ -253,6 +253,40 @@ class TestFit:
         assert not report.converged
         assert projections == 3
 
+    def test_newton_trials_rejected_unprojected_are_capped(
+            self, make_table, projection_cap):
+        """From the second iteration on every trial steps uphill along the
+        gradient, a step that the Hessian model rejects whatever the
+        damping.  After the cap's number of such trials the fit models F by
+        J^T J, whose trials are projected and count against the cap, where
+        growing mu without end would overflow."""
+        t = line_table(make_table, n=40, d=3, noise=0.05, seed=8)
+        calls = {"normal": 0, "uphill": 0}
+
+        def normal_equations(curve, z, ts):
+            jtj, grad, hess = _normal_equations(curve, z, ts)
+            calls["normal"] += 1
+            pts = curve.control_points
+            calls["pts"] = pts + 1e-9 * grad.reshape(pts.shape)
+            return jtj, grad, hess
+
+        def constrain(points, signs):
+            trial, held = _constrain(points, signs)
+            if calls["normal"] < 2:
+                return trial, held
+            calls["uphill"] += 1
+            return calls["pts"], held
+
+        cap = 10
+        with projection_cap(cap), \
+                mock.patch.object(fitting, "NEWTON_SWITCH", np.inf), \
+                mock.patch.object(fitting, "_normal_equations",
+                                  normal_equations), \
+                mock.patch.object(fitting, "_constrain", constrain):
+            _, report, projections = counted_fit(t)
+        assert report.stop_reason == "max_iters" and projections == cap
+        assert cap < calls["uphill"] < 2 * cap
+
     @settings(max_examples=40, deadline=None)
     @given(grid_tables(), st.integers(2, 30))
     def test_distances_and_projection_cap(self, table, max_iters):
@@ -470,9 +504,11 @@ class TestMonotoneFit:
 
 
 def foot_residuals(points, z):
+    """The residuals z - C(t) at the feet on the curve of ``points``, and
+    which feet are at an end."""
     c = RankingCurve(points)
     ts, _, _ = project_points(c, z)
-    return z - evaluate(c, ts)
+    return z - evaluate(c, ts), (ts == 0.0) | (ts == 1.0)
 
 
 def reference_jacobian(basis, c1, dt):
@@ -493,35 +529,57 @@ class TestJacobian:
         off = 0.05 * np.where(np.arange(t0.size) % 2, 1.0, -1.0)
         return c, evaluate(c, t0) + off[:, None] * normal
 
-    @pytest.fixture(params=["interior", "bundled"])
+    @staticmethod
+    def end_case():
+        """The interior case's points, and points 0.1 beyond each end of
+        its curve along the end tangent, whose feet sit firmly at the end."""
+        c, z = TestJacobian.interior_case()
+        d = derivative(c, np.array([0.0, 1.0]))
+        tangent = d / np.hypot(*d.T)[:, None]
+        normal = tangent @ np.array([[0.0, 1.0], [-1.0, 0.0]])
+        beyond = [c.control_points[k] + 0.1 * sign * tangent[end]
+                  + off * normal[end]
+                  for k, sign, end in ((0, -1.0, 0), (3, 1.0, 1))
+                  for off in (-0.05, 0.0, 0.05)]
+        return c, np.vstack([z, beyond])
+
+    @staticmethod
+    def named_case(name, bundled_fit, bundled_table):
+        if name == "interior":
+            return TestJacobian.interior_case()
+        if name == "ends":
+            return TestJacobian.end_case()
+        return bundled_fit[0], normalize(bundled_table).values
+
+    @pytest.fixture(params=["interior", "ends", "bundled"])
     def case(self, request, bundled_fit, bundled_table):
-        if request.param == "interior":
-            c, z = self.interior_case()
-        else:
-            c, z = bundled_fit[0], normalize(bundled_table).values
+        c, z = self.named_case(request.param, bundled_fit, bundled_table)
         ts, _, _ = project_points(c, z)
         return c, z, ts
 
     def test_matches_central_differences(self, case):
-        """Rows whose foot is at an end are left out of the differences:
-        on the bundled fit that is row 0, at t = 1 with g(1) = 6e-8, whose
-        foot a step of 1e-6 moves off the end, where e has a kink.
-        :meth:`test_end_feet_do_not_move` covers end feet."""
+        """Every row counts, end feet too, except where a step of h moves
+        a foot between an end and the interior, where e has a kink: on the
+        bundled fit that is row 0, at t = 1 with g(1) = 6e-8."""
         c, z, ts = case
         e, basis, c1, dt, _ = _foot_derivatives(c, z, ts)
         np.testing.assert_allclose(e, z - evaluate(c, ts), rtol=0, atol=1e-14)
         jac = reference_jacobian(basis, c1, dt)
-        inner = (ts > 0.0) & (ts < 1.0)
-        assert inner.sum() >= z.shape[0] - 1
+        ends = (ts == 0.0) | (ts == 1.0)
+        kinked = np.zeros_like(ends)
         pts, h = c.control_points, 1e-6
         for k in range(4):
             for j in range(c.dim):
                 step = np.zeros_like(pts)
                 step[k, j] = h
-                fd = (foot_residuals(pts + step, z)
-                      - foot_residuals(pts - step, z)) / (2 * h)
-                np.testing.assert_allclose(jac[inner, :, k, j], fd[inner],
-                                           atol=1e-6)
+                e_plus, ends_plus = foot_residuals(pts + step, z)
+                e_minus, ends_minus = foot_residuals(pts - step, z)
+                smooth = (ends_plus == ends) & (ends_minus == ends)
+                kinked |= ~smooth
+                np.testing.assert_allclose(
+                    jac[smooth, :, k, j],
+                    ((e_plus - e_minus) / (2 * h))[smooth], atol=1e-6)
+        assert kinked.sum() <= 1
 
     def test_normal_equations_sum_the_jacobian(self, case):
         c, z, ts = case
@@ -559,42 +617,43 @@ class TestJacobian:
 def envelope_terms(points, z):
     """Each row's term of the gradient of F / 2 by the envelope theorem,
     -B(t_i) e_i^T (n x 4 x d), with the row projected again onto the curve
-    of ``points``."""
+    of ``points``, and which feet are at an end."""
     c = RankingCurve(points)
     ts, _, _ = project_points(c, z)
     basis = np.stack([(1 - ts) ** 3, 3 * ts * (1 - ts) ** 2,
                       3 * ts**2 * (1 - ts), ts**3], 1)
-    return -basis[:, :, None] * (z - evaluate(c, ts))[:, None, :]
+    return (-basis[:, :, None] * (z - evaluate(c, ts))[:, None, :],
+            (ts == 0.0) | (ts == 1.0))
 
 
 class TestHessian:
-    @pytest.mark.parametrize("name", ["interior", "bundled"])
+    @pytest.mark.parametrize("name", ["interior", "ends", "bundled"])
     def test_matches_central_differences(self, name, bundled_fit,
                                          bundled_table):
         """Each row's H is the derivative of its envelope gradient term
-        with its foot moving.  On the bundled fit only rows with an
-        interior foot count: row 0 sits at t = 1 with g(1) = 6e-8, so a
-        step of 1e-6 moves its foot off the end, where F has a kink."""
-        if name == "interior":
-            c, z = TestJacobian.interior_case()
-        else:
-            c, z = bundled_fit[0], normalize(bundled_table).values
-            ts, _, _ = project_points(c, z)
-            z = z[(ts > 0.0) & (ts < 1.0)]
+        with its foot moving.  Every row counts, end feet too, except
+        where a step of h moves a foot between an end and the interior,
+        where F has a kink: on the bundled fit that is row 0, at t = 1
+        with g(1) = 6e-8."""
+        c, z = TestJacobian.named_case(name, bundled_fit, bundled_table)
         ts, _, _ = project_points(c, z)
+        ends = (ts == 0.0) | (ts == 1.0)
         _, grad, hess = _normal_equations(c, z, ts)
         pts, h = c.control_points, 1e-6
         np.testing.assert_allclose(
-            grad, envelope_terms(pts, z).sum(axis=0).ravel(), rtol=0,
+            grad, envelope_terms(pts, z)[0].sum(axis=0).ravel(), rtol=0,
             atol=1e-12)
         np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-12)
         fd = np.empty((z.shape[0], pts.size, pts.size))
+        kinked = np.zeros_like(ends)
         for col in range(pts.size):
             step = h * np.eye(pts.size)[col].reshape(pts.shape)
-            fd[:, :, col] = (envelope_terms(pts + step, z)
-                             - envelope_terms(pts - step, z)).reshape(
-                                 z.shape[0], -1) / (2 * h)
-        for i in range(z.shape[0]):
+            plus, ends_plus = envelope_terms(pts + step, z)
+            minus, ends_minus = envelope_terms(pts - step, z)
+            kinked |= (ends_plus != ends) | (ends_minus != ends)
+            fd[:, :, col] = (plus - minus).reshape(z.shape[0], -1) / (2 * h)
+        assert kinked.sum() <= 1
+        for i in np.flatnonzero(~kinked):
             row = _normal_equations(c, z[i:i + 1], ts[i:i + 1])[2]
             np.testing.assert_allclose(row, fd[i], rtol=0, atol=1e-8)
 

@@ -239,11 +239,28 @@ class TestProjectionProperties:
         assert r.t == 0.0 and r.clamped
 
 
-def reference_block(kern, pts):
+NEAR_TIE = Fraction(2) ** -40  # above any rounding bound for dim < 8000
+
+
+def exact_end_gap(x, p0, p3):
+    """|x - P0|^2 - |x - P3|^2 = <2 x - P0 - P3, P3 - P0> and the sum of
+    its terms' magnitudes, (|x - P0| + |x - P3|) . |P3 - P0|, in exact
+    rational arithmetic."""
+    x, p0, p3 = ([Fraction(v) for v in a] for a in (x, p0, p3))
+    gap = sum((a - b) ** 2 - (a - c) ** 2 for a, b, c in zip(x, p0, p3))
+    mag = sum((abs(a - b) + abs(a - c)) * abs(c - b)
+              for a, b, c in zip(x, p0, p3))
+    return gap, mag
+
+
+def reference_block(kern, pts, near_ties):
     """The foot selection by sort: candidates ordered by row, then t, with
     ``np.lexsort``, each row's smallest d^2 by ``np.minimum.reduceat`` and
-    its first near candidate by ``np.searchsorted``.  The same internals
-    feed it, so it must agree with ``_project_block`` bit for bit."""
+    its first near candidate by ``np.searchsorted``.  t = 0 is not near
+    where P3 is nearer than P0 in exact arithmetic, or, with
+    ``near_ties``, nearer by more than NEAR_TIE of the gap's magnitudes.
+    The same internals feed it, so on each row it must agree with
+    ``_project_block`` bit for bit, with or without ``near_ties``."""
     n = pts.shape[0]
     cp = kern.control_points
     y, y3 = pts - cp[0], pts - cp[3]
@@ -269,11 +286,9 @@ def reference_block(kern, pts):
     d2_min = np.minimum.reduceat(d2, np.searchsorted(rows, np.arange(n)))
     s = np.sqrt(cp.shape[1]) * np.abs(cp).max()
     slack = TIE_RTOL * (d2_min + 2.0 * s * np.sqrt(d2_min))
-    # t = 0 is not near where t = 1 is nearer beyond the rounding of
-    # d2_0 - d2_1 = <y + y3, P3 - P0>
-    w = cp[3] - cp[0]
-    far0 = np.sum((y + y3) * w, axis=-1) > TIE_RTOL * np.sum(
-        (np.abs(y) + np.abs(y3)) * np.abs(w), axis=-1)
+    tie = NEAR_TIE if near_ties else 0
+    far0 = np.array([gap > tie * mag for gap, mag in (
+        exact_end_gap(x, cp[0], cp[3]) for x in pts)], dtype=bool)
     near = np.flatnonzero((d2 <= (d2_min + slack)[rows])
                           & ~((cand == 0.0) & far0[rows]))
     best = near[np.searchsorted(rows[near], np.arange(n))]
@@ -299,6 +314,22 @@ def arch_case(w=1.0, h=1.0, k=2.0):
     distances, once s > 2 w^2 / (3 h)."""
     arch = curve([[-w, 0.0], [-w / 3, h], [w / 3, h], [w, 0.0]])
     return arch, np.array([[0.0, -k * 2 * w * w / (3 * h)]])
+
+
+def end_tie_case(dim=40):
+    """The arch of :func:`arch_case` and its point in the first two
+    coordinates; in the others P3 is P0 with its coordinates rotated by
+    one, the point's coordinates are all equal, and P1 and P2 lie on the
+    far side of P0 from them.  So the point is exactly as far from P0 as
+    from P3, and both ends are its nearest points.  At dim = 40 the
+    computed <y + y3, P3 - P0> is 1.1 * 2**-53 of its terms' magnitudes,
+    above zero."""
+    arch, x = arch_case()
+    v = np.linspace(-1.0, 1.0, dim - 2) / 3.0
+    extra = np.stack([v, np.full_like(v, -10.0), np.full_like(v, -10.0),
+                      np.roll(v, 1)])
+    cp = np.hstack([arch.control_points, extra])
+    return curve(cp), np.hstack([x, np.full((1, dim - 2), 1e8 / 3.0)])
 
 
 def node_case():
@@ -346,15 +377,25 @@ class TestSelection:
            .flatmap(random_curves))
     @example(arch_case())
     @example(arch_case(0.5, 2.0, 1.5))
+    @example(end_tie_case())
+    # ends so close that the products in <y + y3, P3 - P0> underflow
+    @example((curve([[1.9e-240], [0.0], [0.0], [0.0]]), np.zeros((1, 1))))
+    @example((curve([[4.25e-258], [1.0], [0.0], [0.0]]), np.zeros((1, 1))))
     @example(node_case())
     @example(evolute_case())
     def test_scatter_min_equals_sorted_selection(self, case):
+        """An exact tie between the ends, or P0 nearer, must leave t = 0
+        near; P3 nearer by more than NEAR_TIE must not.  Between, the end
+        gap is within rounding, and either choice is right."""
         c, xs = case
         kern = _kernel(c)
-        for got, want in zip(_project_block(kern, xs),
-                             reference_block(kern, xs)):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        got = _project_block(kern, xs)
+        refs = [reference_block(kern, xs, ties) for ties in (False, True)]
+        for ref in refs:
+            assert [a.dtype for a in got] == [a.dtype for a in ref]
+        for i in range(len(xs)):
+            assert [a[i:i + 1].tobytes() for a in got] in [
+                [a[i:i + 1].tobytes() for a in ref] for ref in refs]
 
 
 class TestHardGeometry:
