@@ -15,7 +15,7 @@ projected Levenberg-Marquardt iteration:
   3. solve (A + mu diag J^T J) delta = -J^T e, with the model A = J^T J
      (Marquardt 1963) or A = H, and project P + delta, dimension by
      dimension, onto the control points of cubics that are monotone in
-     the direction of the initial line;
+     the indicator's declared orientation;
   4. project the items onto that trial curve; keep it if F did not rise
      and divide mu by 3, else multiply mu by 4 and try again from 3.
 
@@ -33,12 +33,14 @@ the items; after ``MAX_PROJECTIONS`` such trials the fit models F by J^T J
 alone, so that every trial counts against the cap.
 
 The constraint keeps C'_j / 3, with Bernstein coefficients h = s_j diff(P_j),
-in the cone that :func:`rpcurve.bezier.is_monotone` tests, so a converged
-curve cannot overshoot the data and reverse the ranking.  A dimension
-whose initial line is flat (s_j = 0) is free.  Where a dimension sits on
-a face of its cone (h0 = 0, h2 = 0 or the curved h1^2 = h0 h2) and the
-gradient presses against it, step 3 solves for moves along that face
-only, so that the fit does not crawl along it by clipped steps.
+in the cone that :func:`rpcurve.bezier.is_monotone` tests, with s_j = -1
+for a negative indicator and +1 for a positive one (the meta-rule of Li,
+Mei & Hu, IEEE TKDE 2015), so a converged curve cannot overshoot the data
+and reverse the ranking; a column whose start line runs against its
+orientation starts flat.  Where a dimension sits on a face of its cone
+(h0 = 0, h2 = 0 or the curved h1^2 = h0 h2) and the gradient presses
+against it, step 3 solves for moves along that face only, so that the
+fit does not crawl along it by clipped steps.
 
 The fit stops on ``"tol"`` when a step accepted at its first trial lowers
 F by less than ``REL_TOL`` (1e-8) relatively, when the projected trial
@@ -47,9 +49,10 @@ stops on ``"max_iters"`` after ``MAX_PROJECTIONS`` (200) projections,
 rejected trials included.  The accepted distances never increase.
 
 Every step is deterministic; there is no randomness anywhere, so a
-repeated fit on identical input is bit-identical.  The curve is oriented so
-that the "best" end (larger mean oriented coordinate) sits at t=1, which
-makes scores equal to projection parameters.
+repeated fit on identical input is bit-identical.  Every oriented
+coordinate is nondecreasing from P0 to P3, so the "best" end (larger mean
+oriented coordinate) sits at t=1, which makes scores equal to projection
+parameters.
 """
 
 from __future__ import annotations
@@ -121,7 +124,8 @@ class FitReport:
     cap stopped it first; ``last_rel_change`` is the last relative change
     of the distance measured (None if the fit never compared two);
     ``active_constraints`` names the indicators that end on a face of the
-    set of monotone cubics the fit keeps them in."""
+    set of monotone cubics the fit keeps them in.  An indicator whose data
+    run against its orientation is held flat and named there."""
 
     iterations: int
     distances: tuple[float, ...]
@@ -369,9 +373,9 @@ def _cone_projection(h0: float, h1: float, h2: float):
 
 
 def _constrain(points: np.ndarray, signs: np.ndarray):
-    """Control points (4 x d) whose every dimension j with signs[j] != 0 is
-    monotone in direction signs[j], and the faces of its cone that each
-    such dimension then sits on, as (j, inward normal in h): h0 = 0
+    """Control points (4 x d) whose every dimension j is monotone in
+    direction signs[j] (+1 or -1), and the faces of its cone that each
+    dimension then sits on, as (j, inward normal in h): h0 = 0
     (P0 = P1), h2 = 0 (P2 = P3) and, where dimension j had to move and
     lands on h1 < 0, the curved face h1^2 = h0 h2, whose normal is the
     gradient of h0 h2 - h1^2.  h = s diff(P_j) goes to its cone projection
@@ -382,10 +386,9 @@ def _constrain(points: np.ndarray, signs: np.ndarray):
     out = points.copy()
     faces = []
     h = (signs * np.diff(points, axis=0)).T.tolist()
-    for j in np.flatnonzero(signs).tolist():
+    for j, s in enumerate(signs.tolist()):
         moved = not _copositive(*h[j])
         if moved:
-            s = signs[j]
             h0, h1, h2 = _cone_projection(*h[j])
             for k in range(54):  # h1 is 0 at k = 53, and 0 always passes
                 col = points[0, j] + s * np.cumsum([0.0, h0, h1, h2])
@@ -434,9 +437,8 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
     at most ``MAX_PROJECTIONS`` times in a fit.
     ``MAX_PROJECTIONS`` caps the projections, rejected trials included.
     The recorded distances are those of the accepted iterates, so they never
-    increase, and the returned curve is the last accepted one.  After the
-    loop the best-end convention is re-checked and each dimension gets an
-    exact monotonicity verdict.
+    increase, and the returned curve is the last accepted one; each
+    dimension then gets an exact monotonicity verdict.
     """
     if config is None:
         config = FitConfig()
@@ -455,8 +457,8 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
         return candidate, ts, float(np.sum(dist * dist))
 
     start = init_curve(data).control_points
-    signs = np.sign(start[3] - start[0])
-    # the start is a line, so this finds its flat faces and moves nothing
+    signs = np.where(negative_mask(data.orientations), -1.0, 1.0)
+    # flattens each column whose line runs against its orientation
     start, faces = _constrain(start, signs)
     curve, ts, total = project(start)
     distances = [total]
@@ -513,15 +515,7 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
             stop_reason = "tol"
             break
 
-    pts = curve.control_points
     active = {j for j, _ in faces}
-    if best_end_first(pts[0], pts[3], data.orientations):
-        curve = RankingCurve(
-            control_points=pts[::-1].copy(),
-            best_end=BestEnd.AT_T1,
-            transform=data.transform,
-        )
-
     verdicts = tuple(is_monotone(curve, j) for j in range(curve.dim))
     names = data.source.indicator_names
     report = FitReport(

@@ -13,6 +13,7 @@ from rpcurve.bezier import (
     BestEnd,
     Monotonicity,
     RankingCurve,
+    _copositive,
     derivative,
     evaluate,
     is_monotone,
@@ -501,6 +502,46 @@ class TestMonotoneFit:
         assert report.active_constraints == ("c1",)
         assert report.to_dict()["active_constraints"] == ["c1"]
         assert report.monotonicity == (Monotonicity.STRICTLY_INCREASING,) * 2
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_uniform_tables_are_monotone(self, seed, make_table):
+        """A structureless table has no principal direction to follow; the
+        fit still rises in every positive indicator."""
+        table = make_table(np.random.default_rng(seed).uniform(size=(20, 3)))
+        verdict = check_monotonicity(fit_table(table)[0], table.orientations)
+        assert verdict.verdict is Verdict.PASS, verdict.evidence
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_tables())
+    def test_held_in_the_declared_orientation(self, table):
+        """Every fitted column lies in the cone of its declared direction,
+        so the oriented coordinates rise from P0 to P3 and the best end is
+        at t=1 without reversing the curve."""
+        pts = fit_table(table)[0].control_points
+        signs = [-1.0 if o is Orientation.NEGATIVE else 1.0
+                 for o in table.orientations]
+        for j, s in enumerate(signs):
+            assert _copositive(*(s * np.diff(pts[:, j]))), j
+        om = lambda p: oriented_mean(p, table.orientations)
+        assert om(pts[3]) >= om(pts[0])
+
+    def test_column_against_its_orientation_is_held_flat(self, make_table):
+        """c1 falls as the others rise, against its positive orientation:
+        the fit holds it flat and reports it, and lets it fall nowhere."""
+        rng = np.random.default_rng(0)
+        t = np.sort(rng.uniform(size=30))
+        table = make_table(np.stack([
+            t,
+            1.0 - t + 0.05 * rng.normal(size=30),
+            2.0 * t + 0.05 * rng.normal(size=30),
+        ], 1))
+        curve, report = fit_table(table)
+        assert report.stop_reason == "tol"
+        assert report.active_constraints == ("c1",)
+        c1 = curve.control_points[:, 1]
+        assert np.all(np.diff(c1) >= 0.0)
+        assert np.ptp(c1) <= 1e-6
+        assert np.ptp(curve.control_points[:, 0]) > 1.0
 
 
 def foot_residuals(points, z):
