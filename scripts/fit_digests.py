@@ -1,10 +1,11 @@
-"""Print one digest per fit of a fixed set of check tables, to compare two
-versions of the fit bit for bit.
+"""Print one digest per fit and per ``pca`` ranking of a fixed set of check
+tables, to compare two versions of the fit and of the baseline bit for bit.
 
-Each line is ``name digest projections``; the digest covers the fitted
-control points and the rpc scores and orders of the table's own rows,
-and the last field is the fit's projection count.  Run it against two
-source trees and diff:
+Each table gives two lines.  The first is ``name digest projections``; the
+digest covers the fitted control points and the rpc scores and orders of
+the table's own rows, and the last field is the fit's projection count.
+The second is ``name pca digest``, over the :func:`pca_rank` scores and
+orders.  Run it against two source trees and diff:
 
     PYTHONPATH=src python scripts/fit_digests.py > new.txt
     PYTHONPATH=/path/to/other/src python scripts/fit_digests.py > old.txt
@@ -22,6 +23,7 @@ import hashlib
 
 import numpy as np
 
+from rpcurve.baselines import pca_rank
 from rpcurve.data import IndicatorTable, Orientation, load_bundled_table
 from rpcurve.evaluation import collinear_table
 from rpcurve.fitting import fit_table, rank
@@ -70,14 +72,21 @@ def check_tables():
             np.random.default_rng(seed).uniform(size=(20, 3)))
 
 
+def digest(*parts):
+    sha = hashlib.sha256()
+    for part in parts:
+        sha.update(np.ascontiguousarray(part).tobytes())
+    return sha.hexdigest()[:16]
+
+
 def main():
     for name, table in check_tables():
         curve, report = fit_table(table)
         ranking = rank(table, curve)
-        digest = hashlib.sha256()
-        for part in (curve.control_points, ranking.scores, ranking.orders):
-            digest.update(np.ascontiguousarray(part).tobytes())
-        print(name, digest.hexdigest()[:16], report.projections)
+        print(name, digest(curve.control_points, ranking.scores,
+                           ranking.orders), report.projections)
+        pca = pca_rank(table)
+        print(name, "pca", digest(pca.scores, pca.orders))
 
 
 if __name__ == "__main__":

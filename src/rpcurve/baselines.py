@@ -124,15 +124,14 @@ def pca_rank(table: IndicatorTable) -> RankingResult:
     """Position on the line the curve fit starts from.
 
     The normalized rows' coordinates on their
-    :func:`~rpcurve.fitting.principal_segment` are affinely mapped to
-    [0, 1], with 1 at the segment's better end.
+    :func:`~rpcurve.fitting.principal_segment`, which runs towards its
+    better end in the declared orientations, are affinely mapped to
+    [0, 1], with 1 at that end (on an exact tie, the end that the axis's
+    largest loading points to).
     """
-    proj, _, _, a_better = principal_segment(
-        normalize(table).values, table.orientations
-    )
+    proj, _, _ = principal_segment(normalize(table).values,
+                                   table.orientations)
     scores = (proj - proj.min()) / (proj.max() - proj.min())
-    if a_better:
-        scores = 1.0 - scores
     return make_ranking(table.item_ids, scores, "pca")
 
 

@@ -321,11 +321,6 @@ def _speed_extremes(curve: RankingCurve) -> tuple[float, float, float, float]:
     return float(ts[k]), float(slowest), float(fastest), float(ratio)
 
 
-def speed_extremes(curve: RankingCurve) -> tuple[float, float, float]:
-    """(t*, |C'(t*)|, max |C'|) over [0, 1], with t* the slowest point."""
-    return _speed_extremes(curve)[:3]
-
-
 def curve_to_dict(curve: RankingCurve) -> dict:
     """JSON-ready curve payload: normalized and raw-unit control points."""
     out: dict = {

@@ -50,6 +50,12 @@ def negative_mask(orientations) -> np.ndarray:
     )
 
 
+def orientation_signs(orientations) -> np.ndarray:
+    """-1.0 for each negatively oriented dimension and +1.0 for the others:
+    the direction in which a dimension gets better."""
+    return np.where(negative_mask(orientations), -1.0, 1.0)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -140,15 +146,40 @@ class IndicatorTable:
 
 @dataclass(frozen=True)
 class NormalizationTransform:
-    """Per-column (min, max) pairs used for the [0, 1] scaling."""
+    """Per-column (min, max) pairs used for the [0, 1] scaling.
+
+    Checked at construction: SchemaError unless the names are unique and
+    ``mins`` and ``maxs`` are 1-D with one entry per name and every max >
+    min; SpreadOverflow naming the first indicator whose ``max - min`` is
+    not finite, a range too wide to scale.
+    """
 
     indicator_names: tuple[str, ...]
     mins: np.ndarray
     maxs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mins", _readonly(self.mins))
-        object.__setattr__(self, "maxs", _readonly(self.maxs))
+        mins, maxs = _readonly(self.mins), _readonly(self.maxs)
+        names = self.indicator_names
+        if len(set(names)) != len(names):
+            raise SchemaError(f"transform repeats an indicator: {names}")
+        if not mins.shape == maxs.shape == (len(names),):
+            raise SchemaError(
+                f"transform bounds of shapes {mins.shape} and {maxs.shape} "
+                f"for {len(names)} indicators"
+            )
+        if not np.all(maxs > mins):
+            raise SchemaError("transform has a max <= its min")
+        with np.errstate(over="ignore"):
+            spread = maxs - mins
+        for name, lo, hi, width in zip(names, mins, maxs, spread):
+            if not np.isfinite(width):
+                raise SpreadOverflow(
+                    f"indicator {name!r} spans {float(lo)!r} to "
+                    f"{float(hi)!r}, a range too wide to scale"
+                )
+        object.__setattr__(self, "mins", mins)
+        object.__setattr__(self, "maxs", maxs)
 
     @property
     def dim(self) -> int:
@@ -160,19 +191,6 @@ class NormalizationTransform:
             "mins": self.mins.tolist(),
             "maxs": self.maxs.tolist(),
         }
-
-    def check_spread(self) -> None:
-        """SpreadOverflow naming the first indicator whose ``max - min``
-        is not finite, a range too wide to scale."""
-        with np.errstate(over="ignore"):
-            spread = self.maxs - self.mins
-        for name, lo, hi, width in zip(self.indicator_names, self.mins,
-                                       self.maxs, spread):
-            if not np.isfinite(width):
-                raise SpreadOverflow(
-                    f"indicator {name!r} spans {float(lo)!r} to "
-                    f"{float(hi)!r}, a range too wide to scale"
-                )
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "NormalizationTransform":
@@ -396,7 +414,6 @@ def normalize(table: IndicatorTable) -> NormalizedTable:
         mins=table.values.min(axis=0),
         maxs=table.values.max(axis=0),
     )
-    transform.check_spread()
     return NormalizedTable(
         source=table,
         values=apply_transform(table.values, transform),

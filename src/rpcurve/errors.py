@@ -35,15 +35,17 @@ class UnknownIndicator(LoadError):
 
 
 class SchemaError(LoadError):
-    """Malformed schema or CSV structure (bad orientation value, duplicate
-    or misnamed header fields, wrong field count)."""
+    """Malformed schema, CSV structure or normalization transform (bad
+    orientation value, duplicate or misnamed header fields, wrong field
+    count, transform bounds that are not one per indicator)."""
 
 
 class BadCurveFile(LoadError):
     """A saved curve file is not a fit output: its curve or transform is
-    missing or garbled, its control points do not form a curve, or its
-    transform has another dimension than the control points or some
-    column with max <= min."""
+    missing or garbled, its control points do not form a curve, its
+    transform fails its own checks (repeated names, bounds that are not
+    one per name, a max <= its min or a spread too wide to scale), or its
+    transform has another dimension than the control points."""
 
 
 class DomainError(RankingError):

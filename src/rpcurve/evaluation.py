@@ -237,16 +237,6 @@ def _trial_vectors(criterion: Criterion, d: int, trials: int):
     return [first, *later][:trials]
 
 
-def scale_vectors(d: int, trials: int):
-    """The scaling trials' vectors (see :func:`_trial_vectors`)."""
-    return _trial_vectors(Criterion.SCALE_INVARIANCE, d, trials)
-
-
-def shift_vectors(d: int, trials: int):
-    """The translation trials' vectors (see :func:`_trial_vectors`)."""
-    return _trial_vectors(Criterion.TRANSLATION_INVARIANCE, d, trials)
-
-
 def _run_trial(pipeline: RankingPipeline, table: IndicatorTable,
                label: str) -> PipelineRun:
     try:

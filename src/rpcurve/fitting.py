@@ -49,10 +49,11 @@ stops on ``"max_iters"`` after ``MAX_PROJECTIONS`` (200) projections,
 rejected trials included.  The accepted distances never increase.
 
 Every step is deterministic; there is no randomness anywhere, so a
-repeated fit on identical input is bit-identical.  Every oriented
-coordinate is nondecreasing from P0 to P3, so the "best" end (larger mean
-oriented coordinate) sits at t=1, which makes scores equal to projection
-parameters.
+repeated fit on identical input is bit-identical.  The start line runs
+towards the better end in the declared orientations (see
+:func:`principal_segment`), and every oriented coordinate stays
+nondecreasing from P0 to P3, so the better end sits at t=1, which makes
+scores equal to projection parameters.
 """
 
 from __future__ import annotations
@@ -81,14 +82,15 @@ from .data import (
     ScoringRows,
     apply_transform,
     json_text,
-    negative_mask,
     normalize,
+    orientation_signs,
     write_text,
 )
 from .errors import (
     BadCurveFile,
     DegenerateCurve,
     DomainError,
+    SchemaError,
     SpreadOverflow,
     TooFewItems,
     TransformMismatch,
@@ -221,21 +223,6 @@ def make_ranking(item_ids, scores, method: str) -> RankingResult:
     )
 
 
-def oriented_mean(point: np.ndarray, orientations) -> float:
-    """Mean coordinate after flipping negative dimensions (1 - value)."""
-    p = np.asarray(point, dtype=float)
-    return float(np.mean(np.where(negative_mask(orientations), 1.0 - p, p)))
-
-
-def best_end_first(start: np.ndarray, end: np.ndarray, orientations) -> bool:
-    """True when ``start`` is the better end and the pair must be reversed
-    to put the best end last: the end with the larger mean oriented
-    coordinate is better; on an exact tie the larger first coordinate is."""
-    ms = oriented_mean(start, orientations)
-    me = oriented_mean(end, orientations)
-    return ms > me or (ms == me and start[0] > end[0])
-
-
 def first_principal_axis(values: np.ndarray) -> np.ndarray:
     """Leading right singular vector of the centered data, sign-fixed so
     that its largest-magnitude loading is positive (first index wins ties).
@@ -250,34 +237,40 @@ def first_principal_axis(values: np.ndarray) -> np.ndarray:
 
 
 def principal_segment(values: np.ndarray, orientations):
-    """The rows' first-principal line: ``(proj, a, b, a_better)`` with
-    ``proj`` the rows' coordinates on :func:`first_principal_axis` through
-    their mean, ``a`` and ``b`` the line's points at the smallest and the
-    largest coordinate, and ``a_better`` whether ``a`` is the better end
-    (see :func:`best_end_first`)."""
+    """The rows' first-principal line, run towards its better end:
+    ``(proj, a, b)`` with ``proj`` the rows' coordinates on the unit axis v
+    through their mean, and ``a`` and ``b`` the line's points at the
+    smallest and the largest coordinate.  v is :func:`first_principal_axis`
+    turned so that s . v >= 0, with s the :func:`orientation_signs`, which
+    makes ``b`` the better end: its mean oriented coordinate exceeds
+    ``a``'s by (max proj - min proj) / d * s . v.  On an exact tie
+    (s . v = 0) v keeps its sign, largest-magnitude loading positive."""
     v = first_principal_axis(values)
+    if orientation_signs(orientations) @ v < 0.0:
+        v = -v
     center = values.mean(axis=0)
     proj = (values - center) @ v
     a = center + proj.min() * v
     b = center + proj.max() * v
-    return proj, a, b, best_end_first(a, b, orientations)
+    return proj, a, b
 
 
 def init_curve(data: NormalizedTable) -> RankingCurve:
     """Cubic curve along the first principal component of the data.
 
-    The :func:`principal_segment` is degree-elevated to a cubic (interior
-    points at 1/3 and 2/3 of the chord) with its better end at t=1.
+    The :func:`principal_segment` from ``a`` to ``b`` is degree-elevated to
+    a cubic (interior points at 1/3 and 2/3 of the chord): P0 = a and
+    P3 = b, so the better end in the declared orientations is at t=1 (on
+    an exact tie, the end that the axis's largest loading points to).
     """
     z = data.values
     if z.shape[0] < 4:
         raise TooFewItems(f"fit needs at least 4 items, got {z.shape[0]}")
-    _, a, b, a_better = principal_segment(z, data.orientations)
-    p0, p3 = (b, a) if a_better else (a, b)
-    p1 = p0 + (p3 - p0) / 3.0
-    p2 = p0 + 2.0 * (p3 - p0) / 3.0
+    _, a, b = principal_segment(z, data.orientations)
+    p1 = a + (b - a) / 3.0
+    p2 = a + 2.0 * (b - a) / 3.0
     return RankingCurve(
-        control_points=np.stack([p0, p1, p2, p3]),
+        control_points=np.stack([a, p1, p2, b]),
         best_end=BestEnd.AT_T1,
         transform=data.transform,
     )
@@ -457,7 +450,7 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
         return candidate, ts, float(np.sum(dist * dist))
 
     start = init_curve(data).control_points
-    signs = np.where(negative_mask(data.orientations), -1.0, 1.0)
+    signs = orientation_signs(data.orientations)
     # flattens each column whose line runs against its orientation
     start, faces = _constrain(start, signs)
     curve, ts, total = project(start)
@@ -570,8 +563,9 @@ def load_curve(path) -> RankingCurve:
     """Read the curve and its normalization transform back from a file
     that :func:`save_fit` wrote.  BadCurveFile if the file lacks or garbles
     the ``curve`` or ``transform`` entry, if its control points do not form
-    a curve (not 4 x d, not finite, or P0 = P3), or if the transform does
-    not fit the control points or has a spread too wide to scale."""
+    a curve (not 4 x d, not finite, or P0 = P3), if its transform fails
+    :class:`NormalizationTransform`'s checks, or if the transform and the
+    curve differ in dimension."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         payload = json.load(fh)
     try:
@@ -579,18 +573,13 @@ def load_curve(path) -> RankingCurve:
         curve = curve_from_dict(payload["curve"], transform=transform)
     except DegenerateCurve as exc:
         raise BadCurveFile(f"{path}: bad control points: {exc}") from None
+    except (SchemaError, SpreadOverflow) as exc:
+        raise BadCurveFile(f"{path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise BadCurveFile(
             f"{path}: not a fit output (needs 'curve' and 'transform'): "
             f"{type(exc).__name__}: {exc}"
         ) from None
-    sizes = {transform.dim, transform.mins.size, transform.maxs.size}
-    if sizes != {curve.dim}:
+    if transform.dim != curve.dim:
         raise BadCurveFile(f"{path}: transform and curve dims differ")
-    if not np.all(transform.maxs > transform.mins):
-        raise BadCurveFile(f"{path}: transform has a max <= its min")
-    try:
-        transform.check_spread()
-    except SpreadOverflow as exc:
-        raise BadCurveFile(f"{path}: {exc}") from None
     return curve

@@ -350,6 +350,39 @@ def test_overflowing_curve_transform_exits_2(workdir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["repeated-name", "column-bounds"])
+def test_malformed_curve_transform_exits_2(workdir, tmp_path, capsys, case):
+    # both files scored without complaint before the transform checked
+    # itself: a repeated name read 'inc' into the slot of 'life', and
+    # 3 x 1 bounds broadcast a 3-row file into a 3 x 3 scaling
+    payload = json.loads(workdir["fit"].read_text())
+    transform = payload["transform"]
+    rows = [line.split(",")
+            for line in workdir["data"].read_text().splitlines()]
+    if case == "repeated-name":
+        assert transform["indicator_names"] == ["inc", "life", "bad"]
+        transform["indicator_names"][1] = "inc"
+        rows = [row[:2] + row[3:] for row in rows]
+    else:
+        for key in ("mins", "maxs"):
+            transform[key] = [[v] for v in transform[key]]
+        rows = rows[:4]
+    data = tmp_path / "data.csv"
+    data.write_text("".join(",".join(row) + "\n" for row in rows))
+    curve = tmp_path / "bad.json"
+    curve.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "rank.csv"
+    code = main([
+        "rank", "--data", str(data), "--curve", str(curve),
+        "--out", str(out),
+    ])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {curve}: transform ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["rank", "plotdata"])
 @pytest.mark.parametrize("edit, fault", [
     (lambda cp: cp[:3], "4 x d"),

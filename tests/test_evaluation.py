@@ -34,8 +34,7 @@ from rpcurve.evaluation import (
     ratio_scale_table,
     replay_witness,
     rpc_pipeline,
-    scale_vectors,
-    shift_vectors,
+    _trial_vectors,
 )
 from rpcurve.fitting import make_ranking
 
@@ -72,14 +71,14 @@ def rpc_audit(noisy_table):
 
 class TestPerturbationVectors:
     def test_scale_vectors_first_trial(self):
-        vecs = scale_vectors(4, 3)
+        vecs = _trial_vectors(Criterion.SCALE_INVARIANCE, 4, 3)
         assert vecs[0][0] == 6.8
         assert all(v.shape == (4,) for v in vecs)
         assert all(np.all(v > 0) for v in vecs)
 
     def test_shift_vectors_deterministic(self):
-        a = shift_vectors(3, 4)
-        b = shift_vectors(3, 4)
+        a = _trial_vectors(Criterion.TRANSLATION_INVARIANCE, 3, 4)
+        b = _trial_vectors(Criterion.TRANSLATION_INVARIANCE, 3, 4)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 

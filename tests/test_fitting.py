@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rpcurve import fitting
+from rpcurve.baselines import pca_rank
 from rpcurve.bezier import (
     BestEnd,
     Monotonicity,
@@ -18,7 +19,12 @@ from rpcurve.bezier import (
     evaluate,
     is_monotone,
 )
-from rpcurve.data import IndicatorTable, Orientation, normalize
+from rpcurve.data import (
+    IndicatorTable,
+    Orientation,
+    normalize,
+    orientation_signs,
+)
 from rpcurve.evaluation import Verdict, check_monotonicity
 from rpcurve.errors import BadCurveFile, TooFewItems, TransformMismatch
 from rpcurve.fitting import (
@@ -36,11 +42,21 @@ from rpcurve.fitting import (
     init_curve,
     load_curve,
     make_ranking,
-    oriented_mean,
+    principal_segment,
     rank,
     save_fit,
 )
 from rpcurve.projection import project_points
+
+_EPS = float(np.finfo(float).eps)
+
+
+def oriented_mean(point, orientations) -> float:
+    """Mean coordinate after flipping the negative dimensions (1 - value):
+    these tests' own measure of which end of a curve is the better one."""
+    p = np.asarray(point, dtype=float)
+    flip = [o is Orientation.NEGATIVE for o in orientations]
+    return float(np.mean(np.where(flip, 1.0 - p, p)))
 
 
 def line_table(make_table, n=30, d=3, noise=0.0, seed=0):
@@ -165,17 +181,40 @@ class TestPrincipalAxis:
         assert abs(np.linalg.norm(first_principal_axis(X)) - 1.0) < 1e-12
 
 
-class TestOrientedMean:
-    def test_flips_negative(self):
-        v = np.array([0.2, 0.8])
-        both_pos = oriented_mean(
-            v, (Orientation.POSITIVE, Orientation.POSITIVE)
-        )
-        mixed = oriented_mean(
-            v, (Orientation.POSITIVE, Orientation.NEGATIVE)
-        )
-        assert both_pos == pytest.approx(0.5)
-        assert mixed == pytest.approx(0.2)
+class TestPrincipalSegment:
+    @settings(max_examples=60, deadline=None)
+    @given(grid_tables())
+    def test_runs_towards_the_better_end(self, table):
+        """b is the better end in the declared orientations, init_curve
+        starts at a and ends at b, and pca_rank scores along the segment."""
+        nt = normalize(table)
+        proj, a, b = principal_segment(nt.values, table.orientations)
+        # s . (b - a) = (max proj - min proj) s . v, which is >= 0 but
+        # may be within rounding of 0, where b - a rounds either way
+        d = a.size
+        slack = 4.0 * d * _EPS * (np.ptp(proj) + np.abs(a).max()
+                                  + np.abs(b).max())
+        assert orientation_signs(table.orientations) @ (b - a) >= -slack
+        pts = init_curve(nt).control_points
+        assert pts[0].tobytes() == a.tobytes()
+        assert pts[3].tobytes() == b.tobytes()
+        # along rising proj, pca orders (1 = best) never rise
+        orders = pca_rank(table).orders[np.argsort(proj, kind="stable")]
+        assert np.all(np.diff(orders) <= 0)
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_one_column_runs_from_worst_to_best(self, make_table,
+                                                orientation):
+        raw = np.array([[3.0], [-2.0], [7.5], [0.25], [4.0]])
+        table = make_table(raw, orientations=[orientation])
+        nt = normalize(table)
+        _, a, b = principal_segment(nt.values, table.orientations)
+        worst, best = raw.min(), raw.max()
+        if orientation is Orientation.NEGATIVE:
+            worst, best = best, worst
+        scale = lambda x: (x - raw.min()) / (raw.max() - raw.min())
+        np.testing.assert_allclose(a, [scale(worst)], atol=4 * _EPS)
+        np.testing.assert_allclose(b, [scale(best)], atol=4 * _EPS)
 
 
 class TestInitCurve:
@@ -366,6 +405,11 @@ class TestRank:
         np.testing.assert_array_equal(np.asarray(r.scores), want)
 
 
+def as_column(values):
+    """A list as a column: each entry in a list of its own."""
+    return [[v] for v in values]
+
+
 class TestPersistence:
     def test_save_and_load_roundtrip(self, make_table, tmp_path):
         t = line_table(make_table, n=30, d=3, noise=0.05, seed=17)
@@ -390,6 +434,11 @@ class TestPersistence:
         ("maxs", [1.0, 0.0, 1.0]),  # max == min in one column
         ("mins", ["x", "y", "z"]),
         ("indicator_names", None),
+        # a repeated name, which would read c0 into c1's slot
+        ("indicator_names", ["c0", "c0", "c2"]),
+        # d x 1 bounds: d entries, but they broadcast into a d x d scaling
+        ("mins", as_column),
+        ("maxs", as_column),
     ])
     def test_load_rejects_bad_transform(self, make_table, tmp_path,
                                         field, value):
@@ -398,7 +447,8 @@ class TestPersistence:
         path = tmp_path / "fit.json"
         save_fit(path, curve, report, rank(t, curve))
         payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["transform"][field] = value
+        transform = payload["transform"]
+        transform[field] = value(transform[field]) if callable(value) else value
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(BadCurveFile):
             load_curve(path)
