@@ -1,11 +1,17 @@
 """Print one digest per fit and per ``pca`` ranking of a fixed set of check
-tables, to compare two versions of the fit and of the baseline bit for bit.
+tables, and one per group of projections, to compare two versions of the
+fit, the baseline and the projector bit for bit.
 
 Each table gives two lines.  The first is ``name digest projections``; the
-digest covers the fitted control points and the rpc scores and orders of
-the table's own rows, and the last field is the fit's projection count.
-The second is ``name pca digest``, over the :func:`pca_rank` scores and
-orders.  Run it against two source trees and diff:
+digest covers the fitted control points, the rpc scores and orders of the
+table's own rows and the fit report as ``fit.json`` holds it, and the last
+field is the fit's projection count.  The second is ``name pca digest``,
+over the :func:`pca_rank` scores and orders.  Then each projection group
+gives ``proj d<d> 2^<k> digest clamped``: the digest covers the
+:func:`project_points` t, distance and clamped arrays of 240 points on each
+of 8 seeded random curves of dimension d with coordinates scaled by 2**k
+(d = 1-6, k = -40, 0, 40), and the last field counts the clamped feet.
+Run it against two source trees and diff:
 
     PYTHONPATH=src python scripts/fit_digests.py > new.txt
     PYTHONPATH=/path/to/other/src python scripts/fit_digests.py > old.txt
@@ -24,9 +30,12 @@ import hashlib
 import numpy as np
 
 from rpcurve.baselines import pca_rank
-from rpcurve.data import IndicatorTable, Orientation, load_bundled_table
+from rpcurve.bezier import BestEnd, RankingCurve, evaluate
+from rpcurve.data import (IndicatorTable, Orientation, json_text,
+                          load_bundled_table)
 from rpcurve.evaluation import collinear_table
 from rpcurve.fitting import fit_table, rank
+from rpcurve.projection import project_points
 
 
 def positive_table(values):
@@ -72,6 +81,26 @@ def check_tables():
             np.random.default_rng(seed).uniform(size=(20, 3)))
 
 
+def projection_groups():
+    """(d, k, [(curve, points)] * 8): curves with standard normal control
+    points and, for each, 120 points near the curve (a uniform t plus
+    normal noise of scale 0.05) and 120 spread about it (scale 2), all
+    times 2**k; seeded by d, so each k scales the same curves and points."""
+    for d in range(1, 7):
+        for k in (-40, 0, 40):
+            rng = np.random.default_rng(d)
+            group = []
+            for _ in range(8):
+                curve = RankingCurve(
+                    control_points=np.ldexp(rng.normal(size=(4, d)), k),
+                    best_end=BestEnd.AT_T1)
+                near = evaluate(curve, rng.uniform(size=120)) + np.ldexp(
+                    rng.normal(scale=0.05, size=(120, d)), k)
+                spread = np.ldexp(rng.normal(scale=2.0, size=(120, d)), k)
+                group.append((curve, np.r_[near, spread]))
+            yield d, k, group
+
+
 def digest(*parts):
     sha = hashlib.sha256()
     for part in parts:
@@ -84,9 +113,15 @@ def main():
         curve, report = fit_table(table)
         ranking = rank(table, curve)
         print(name, digest(curve.control_points, ranking.scores,
-                           ranking.orders), report.projections)
+                           ranking.orders, json_text(report.to_dict())),
+              report.projections)
         pca = pca_rank(table)
         print(name, "pca", digest(pca.scores, pca.orders))
+    for d, k, group in projection_groups():
+        feet = [project_points(curve, x) for curve, x in group]
+        clamped = sum(int(c.sum()) for _, _, c in feet)
+        print(f"proj d{d} 2^{k}", digest(*(a for f in feet for a in f)),
+              clamped)
 
 
 if __name__ == "__main__":

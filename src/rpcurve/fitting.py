@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -139,16 +139,11 @@ class FitReport:
     active_constraints: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "distances": list(self.distances),
-            "monotonicity": [m.value for m in self.monotonicity],
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "last_rel_change": self.last_rel_change,
-            "projections": self.projections,
-            "active_constraints": list(self.active_constraints),
-        }
+        """The fields as saved: tuples as lists, verdicts as values."""
+        out = {k: list(v) if isinstance(v, tuple) else v
+               for k, v in asdict(self).items()}
+        out["monotonicity"] = [m.value for m in self.monotonicity]
+        return out
 
 
 @dataclass(frozen=True)
@@ -420,7 +415,7 @@ def _free_directions(points: np.ndarray, signs: np.ndarray,
     return np.linalg.svd(np.array(rows))[2][len(rows):].T
 
 
-def fit(data: NormalizedTable, config: FitConfig | None = None):
+def fit(data: NormalizedTable, config: FitConfig = FitConfig()):
     """Projected Levenberg-Marquardt fit; returns (RankingCurve, FitReport).
 
     Each step models F by J^T J, or by its exact Hessian after an accepted
@@ -433,8 +428,6 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
     increase, and the returned curve is the last accepted one; each
     dimension then gets an exact monotonicity verdict.
     """
-    if config is None:
-        config = FitConfig()
     z = data.values
     projections = 0
 
@@ -524,7 +517,7 @@ def fit(data: NormalizedTable, config: FitConfig | None = None):
     return curve, report
 
 
-def fit_table(table: IndicatorTable, config: FitConfig | None = None):
+def fit_table(table: IndicatorTable, config: FitConfig = FitConfig()):
     """Normalize a raw table and fit; the usual entry point."""
     return fit(normalize(table), config)
 

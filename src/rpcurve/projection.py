@@ -21,13 +21,16 @@ are ties, which go to the smaller t.  Far from the curve the squared
 distances to the two ends round alike, so t = 0 ties with t = 1 only when
 their exact difference <y + (x - P3), P3 - P0> is within its own rounding;
 a point far beyond the end at t = 1 goes there.  Both minima are per-row
-scatter-mins over the candidates.  Squared distances that overflow raise
-DomainError.  An endpoint result is ``clamped`` when g points out
-of [0, 1] there.
+scatter-mins over the candidates.  An endpoint result is ``clamped`` when
+g points out of [0, 1] there.
 
-Curve and points are first scaled by the exact power of two that brings
-the largest power coefficient of D into [0.5, 1), so that curves with
-coordinates near 1e+-150 neither overflow nor underflow.
+Only g is scaled: D and y enter it times the power of two that brings
+D's largest power coefficient into [0.5, 1), so that g neither overflows
+nor underflows on curves near 1e+-150.  Squared distances, tie slack and
+clamp products are unscaled (ROADMAP item 6): on a curve below about
+1e-154 they underflow and every candidate ties (the curve P0 = 1.9e-240,
+P1 = P2 = P3 = 0 takes the point 0 to t = 0.99899, not 1), and a point
+about 1e154 or more from an end overflows them, raising DomainError.
 
 Rows go through in blocks of BLOCK, which bounds the temporaries; with
 several workers, whole blocks go to a thread pool.  Every operation is
@@ -72,7 +75,7 @@ class _Kernel:
     each coefficient of many cells is one contiguous row."""
 
     control_points: np.ndarray
-    exponent: int  # y is scaled by 2**-exponent
+    exponent: int  # D and y enter g scaled by 2**-exponent, nothing else
     hodograph: np.ndarray  # 3 x d power coefficients of the scaled C'
     quintic: np.ndarray  # 6 power coefficients of the scaled <D, D'>
     cells: np.ndarray  # 6 x CELLS Bernstein coefficients of the same
@@ -173,7 +176,9 @@ def project_points(curve: RankingCurve, points: np.ndarray, workers: int = 1):
     """Project many points; returns (t, distance, clamped) arrays.
 
     ``workers`` > 1 projects blocks of BLOCK rows on that many threads; a
-    batch of one block runs inline."""
+    batch of one block runs inline.  DomainError if ``workers`` < 1."""
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != curve.dim:
         raise DomainError(
@@ -183,7 +188,7 @@ def project_points(curve: RankingCurve, points: np.ndarray, workers: int = 1):
         raise DomainError("points must be finite")
     project = partial(_project_block, _kernel(curve))
     blocks = [pts[i:i + BLOCK] for i in range(0, max(len(pts), 1), BLOCK)]
-    if workers <= 1 or len(blocks) == 1:
+    if workers == 1 or len(blocks) == 1:
         parts = [project(b) for b in blocks]
     else:
         from concurrent.futures import ThreadPoolExecutor

@@ -104,6 +104,9 @@ class TestProjectPoint:
             project_point(c, np.array([0.5, 0.5, 0.5]))
         with pytest.raises(DomainError):
             project_points(c, np.array([[np.inf, 0.0]]))
+        for workers in (0, -3):
+            with pytest.raises(DomainError, match="workers must be >= 1"):
+                project_points(c, np.array([[0.5, 0.5]]), workers=workers)
         # scaled to the curve's size, the offset overflows
         tiny = curve(c.control_points * 1e-300)
         with np.errstate(all="ignore"), pytest.raises(
