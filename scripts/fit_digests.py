@@ -4,13 +4,15 @@ fit, the baseline and the projector bit for bit.
 
 Each table gives two lines.  The first is ``name digest projections``; the
 digest covers the fitted control points, the rpc scores and orders of the
-table's own rows and the fit report as ``fit.json`` holds it, and the last
-field is the fit's projection count.  The second is ``name pca digest``,
+table's own rows and the fit report as ``fit.json`` holds it, less its
+``projections`` entry, which is the last field; so a change that only
+saves projections keeps every digest.  The second is ``name pca digest``,
 over the :func:`pca_rank` scores and orders.  Then each projection group
 gives ``proj d<d> 2^<k> digest clamped``: the digest covers the
 :func:`project_points` t, distance and clamped arrays of 240 points on each
 of 8 seeded random curves of dimension d with coordinates scaled by 2**k
 (d = 1-6, k = -40, 0, 40), and the last field counts the clamped feet.
+The last line is ``total projections N``, the sum over the tables' fits.
 Run it against two source trees and diff:
 
     PYTHONPATH=src python scripts/fit_digests.py > new.txt
@@ -109,11 +111,14 @@ def digest(*parts):
 
 
 def main():
+    total = 0
     for name, table in check_tables():
         curve, report = fit_table(table)
         ranking = rank(table, curve)
+        saved = report.to_dict()
+        total += saved.pop("projections")
         print(name, digest(curve.control_points, ranking.scores,
-                           ranking.orders, json_text(report.to_dict())),
+                           ranking.orders, json_text(saved)),
               report.projections)
         pca = pca_rank(table)
         print(name, "pca", digest(pca.scores, pca.orders))
@@ -122,6 +127,7 @@ def main():
         clamped = sum(int(c.sum()) for _, _, c in feet)
         print(f"proj d{d} 2^{k}", digest(*(a for f in feet for a in f)),
               clamped)
+    print("total projections", total)
 
 
 if __name__ == "__main__":

@@ -72,9 +72,9 @@ class RankingCurve:
             raise DegenerateCurve(
                 f"control points must form a 4 x d array, got {pts.shape}"
             )
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise DegenerateCurve("control points must all be finite")
-        if np.array_equal(pts[0], pts[3]):
+        if (pts[0] == pts[3]).all():
             raise DegenerateCurve("curve endpoints P0 and P3 coincide")
         pts.setflags(write=False)
         object.__setattr__(self, "control_points", pts)
@@ -86,20 +86,27 @@ class RankingCurve:
 
 def _check_t(t) -> np.ndarray:
     tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0.0) or np.any(tt > 1.0) or not np.all(np.isfinite(tt)):
-        bad = tt if tt.ndim == 0 else tt[(tt < 0) | (tt > 1) | ~np.isfinite(tt)][0]
+    inside = (tt >= 0.0) & (tt <= 1.0)  # false for nan; inf is outside
+    if not inside.all():
+        bad = tt if tt.ndim == 0 else tt[~inside][0]
         raise DomainError(f"parameter t={float(bad)} outside [0, 1]")
     return tt
 
 
-def _casteljau(points: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Repeated linear interpolation of ``points`` (k x d) at t (...)->(..., d)."""
-    tt = t[..., None]
-    st = 1.0 - tt
-    level = points.reshape(points.shape[:1] + (1,) * t.ndim + points.shape[1:])
+def _casteljau_rows(points: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Repeated linear interpolation of ``points`` (k x d) at t (...), as
+    (d, ...): t's axes come last, so that the long axis runs innermost."""
+    st = 1.0 - t
+    level = points.reshape(points.shape + (1,) * t.ndim)
     while len(level) > 1:
-        level = st * level[:-1] + tt * level[1:]
+        level = st * level[:-1] + t * level[1:]
     return level[0]
+
+
+def _casteljau(points: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """:func:`_casteljau_rows` laid out (..., d)."""
+    rows = _casteljau_rows(points, t)
+    return np.ascontiguousarray(rows.transpose((*range(1, rows.ndim), 0)))
 
 
 def evaluate(curve: RankingCurve, t) -> np.ndarray:
@@ -125,7 +132,7 @@ def second_derivative(curve: RankingCurve, t) -> np.ndarray:
 def _power_coefficients(points: np.ndarray) -> np.ndarray:
     """Power-basis coefficients (4 x d) of the cubic through control rows."""
     q0, q1, q2, q3 = points
-    return np.stack(
+    return np.array(
         [
             q0,
             3.0 * (q1 - q0),
@@ -167,31 +174,35 @@ def _halves(b: np.ndarray):
 
 def _isolate(b: np.ndarray, n: int):
     """Brackets (rows, lo, hi, Newton start) of the + to - roots, and the
-    depth-cap midpoints (rows, t), of n polynomials' cells (6, CELLS, n);
-    rows and lo are built only for the cells found or split."""
+    depth-cap midpoints (rows, t), of n polynomials' cells (6, CELLS, n).
+    Each pass keeps only the live cells, whose coefficients reach 0, and
+    builds rows and lo for those alone."""
     b = b.reshape(6, CELLS * n)
     width = 1.0 / CELLS
     found = []
     for depth in range(MAX_DEPTH + 1):
+        live = ((np.minimum.reduce(b) <= 0.0)
+                & (np.maximum.reduce(b) >= 0.0)).nonzero()[0]
+        b = b.take(live, axis=1)
+        if depth:
+            rows, lo = rows[live], lo[live]
+        else:  # level-0 cell k is row k % n on [k // n, k // n + 1] / CELLS
+            rows, lo = live % n, (live // n) / CELLS
         diff = b[1:] - b[:-1]
-        live = (b.min(axis=0) <= 0.0) & (b.max(axis=0) >= 0.0)
-        dec = diff.max(axis=0) < 0.0
-        mono = dec | (diff.min(axis=0) > 0.0)
+        dec = np.maximum.reduce(diff) < 0.0
+        mono = dec | (np.minimum.reduce(diff) > 0.0)
         # a decreasing live cell with b0 = 0 has its root on its left
         # node, which the cell before it (or the candidate t = 0) counts
-        m = np.flatnonzero(live & dec & (b[0] > 0.0))
-        split = np.flatnonzero(live & ~mono)
-        if depth:
-            rows_m, lo_m, rows, lo = rows[m], lo[m], rows[split], lo[split]
-        else:  # level-0 cell k is row k % n on [k // n, k // n + 1] / CELLS
-            rows_m, lo_m = m % n, (m // n) / CELLS
-            rows, lo = split % n, (split // n) / CELLS
+        m = (dec & (b[0] > 0.0)).nonzero()[0]
+        split = (~mono).nonzero()[0]
         # Newton starts where the control polygon crosses zero
-        i = np.count_nonzero(b[:, m] > 0.0, axis=0) - 1
-        b_i, b_j = b[i, m], b[i + 1, m]
+        b_m, k = b.take(m, axis=1), np.arange(m.size)
+        i = np.add.reduce(b_m > 0.0) - 1
+        b_i, b_j = b_m[i, k], b_m[i + 1, k]
+        lo_m = lo[m]
         start = lo_m + width * (i + b_i / (b_i - b_j)) / 5.0
-        found.append((rows_m, lo_m, lo_m + width, start))
-        b = b[:, split]
+        found.append((rows[m], lo_m, lo_m + width, start))
+        b, rows, lo = b.take(split, axis=1), rows[split], lo[split]
         if depth == MAX_DEPTH or not rows.size:
             break
         width *= 0.5
@@ -205,18 +216,27 @@ def _isolate(b: np.ndarray, n: int):
     return tuple(np.concatenate(parts) for parts in zip(*found)), mids
 
 
-def _horner(coef: np.ndarray, t: np.ndarray):
-    """g(t) and g'(t) from ascending power coefficients (k >= 2, m)."""
-    gp = coef[-1]
-    g = gp * t + coef[-2]
-    for c in coef[-3::-1]:
-        gp = gp * t + g
-        g = g * t + c
+def _horner(coef, t: np.ndarray):
+    """g(t) and g'(t) from k >= 2 ascending power coefficients, each m
+    values or one value shared by all m."""
+    gp = coef[-1] * t  # the first Horner step of both g and g'
+    g = gp + coef[-2]
+    if len(coef) == 2:
+        return g, coef[-1]
+    gp += g
+    g *= t
+    g += coef[-3]
+    for c in coef[-4::-1]:
+        gp *= t
+        gp += g
+        g *= t
+        g += c
     return g, gp
 
 
 def _newton(coef, lo, hi, t):
-    """Root of each decreasing g in its bracket, g(lo) > 0 >= g(hi), by
+    """Root of each decreasing g (power coefficients as :func:`_horner`
+    takes them) in its bracket, g(lo) > 0 >= g(hi), by
     Newton from the start t, safeguarded by bisection; each bracket stops
     on its own once its step falls below STEP_TOL, and its t stays fixed
     while the others go on."""
@@ -230,17 +250,21 @@ def _newton(coef, lo, hi, t):
             pos = g > 0.0
             lo = np.where(pos, t, lo)
             hi = np.where(pos, hi, t)
-            tn = t - g / gp
-            size = np.abs(tn - t)
+            g /= gp
+            tn = t - g
+            size = tn - t
+            np.abs(size, out=size)
             # nan and inf steps fail these tests, so a zero g' bisects
             newton = (tn > lo) & (tn < hi) & (size <= 0.5 * dx_old)
             # a Newton step this small leaves an error of order its square;
             # a rejected one this small is rounding noise in g, so t stays
             small = size < STEP_TOL
-            half = 0.5 * (hi - lo)
+            half = hi - lo
+            half *= 0.5
             dx_old, dx = dx, np.where(newton, size, half)
             stay = fin | ~newton & small
-            t = np.where(stay, t, np.where(newton, tn, lo + half))
+            half += lo
+            t = np.where(stay, t, np.where(newton, tn, half))
             fin |= small | (dx < STEP_TOL)
             if fin.all():
                 break

@@ -34,7 +34,7 @@ from .errors import (
     RankingError,
     TooFewItems,
 )
-from .fitting import fit_table, load_curve, rank, save_fit
+from .fitting import fit_and_rank, load_curve, rank, save_fit
 from .resources import REFERENCE_NAME as REFERENCE_TOKEN
 
 EXIT_OK = 0
@@ -81,8 +81,7 @@ def _load_inputs(data_path: str, schema_path: str) -> IndicatorTable:
 
 def cmd_fit(args) -> int:
     table = _load_inputs(args.data, args.schema)
-    curve, report = fit_table(table)
-    ranking = rank(table, curve)
+    curve, report, ranking = fit_and_rank(table)
     save_fit(args.out, curve, report, ranking)
     print(
         f"fit: {table.n_items} items, {table.n_indicators} dims, "

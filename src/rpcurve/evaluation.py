@@ -57,7 +57,7 @@ from .bezier import (
 )
 from .data import IndicatorTable, Orientation
 from .errors import PipelineFailure, RankingError
-from .fitting import FitConfig, RankingResult, fit_table, rank
+from .fitting import FitConfig, RankingResult, fit_and_rank
 
 LINEAR_RESIDUAL_TOL = 1e-6  # chord offset / chord length of a straight fit
 # C' vanishes where min |C'| <= REGULARITY_TOL * max |C'| (a scale- and
@@ -175,8 +175,8 @@ class RankingPipeline:
 
 def rpc_pipeline() -> RankingPipeline:
     def _run(table: IndicatorTable) -> PipelineRun:
-        curve, _ = fit_table(table, FitConfig())
-        return PipelineRun(rank(table, curve), curve)
+        curve, _, ranking = fit_and_rank(table, FitConfig())
+        return PipelineRun(ranking, curve)
 
     return RankingPipeline(name="rpc", run=_run)
 

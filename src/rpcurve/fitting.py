@@ -16,8 +16,10 @@ projected Levenberg-Marquardt iteration:
      (Marquardt 1963) or A = H, and project P + delta, dimension by
      dimension, onto the control points of cubics that are monotone in
      the indicator's declared orientation;
-  4. project the items onto that trial curve; keep it if F did not rise
-     and divide mu by 3, else multiply mu by 4 and try again from 3.
+  4. reject the trial unprojected if it does not lower H's model of F
+     (see below); else project the items onto the trial curve; keep it if
+     F did not rise and divide mu by 3, else multiply mu by 4 and try
+     again from 3.
 
 F does not go to zero at the optimum (1.406 on the bundled table), and
 on such a large-residual fit Gauss-Newton converges only linearly.  So the
@@ -25,12 +27,14 @@ model is J^T J until an accepted iteration lowers F by less than
 ``NEWTON_SWITCH`` (1%) relatively, and H after such an iteration (the
 hybrid of Fletcher & Xu, IMA J. Numer. Anal. 1987); an iteration that
 lowers F by more switches back.  Far from the optimum an indefinite H
-wastes trials; near it the Newton steps converge fast: the bundled fit
-takes 19 projections where Gauss-Newton alone took 38.  H is F's own
-second-order model, so a Newton trial whose step, after the cone
-projection, does not lower that model is rejected without projecting
-the items; after ``MAX_PROJECTIONS`` such trials the fit models F by J^T J
-alone, so that every trial counts against the cap.
+wastes trials; near it the Newton steps converge fast.  H is F's own
+second-order model, so any trial, Gauss-Newton or Newton, whose step,
+after the cone projection, does not lower that model is rejected without
+projecting the items; the first four Gauss-Newton trials of the bundled
+fit are such uphill steps.  The bundled fit takes 15 projections, where
+Gauss-Newton alone takes 34.  After ``MAX_PROJECTIONS`` such rejections
+the fit models F by J^T J alone and projects every trial, so that each
+counts against the cap.
 
 The constraint keeps C'_j / 3, with Bernstein coefficients h = s_j diff(P_j),
 in the cone that :func:`rpcurve.bezier.is_monotone` tests, with s_j = -1
@@ -61,6 +65,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -68,7 +73,7 @@ from .bezier import (
     BestEnd,
     Monotonicity,
     RankingCurve,
-    _casteljau,
+    _casteljau_rows,
     _copositive,
     curve_from_dict,
     curve_to_dict,
@@ -287,21 +292,22 @@ def _foot_derivatives(curve: RankingCurve, z: np.ndarray, ts: np.ndarray):
     positive beyond rounding (on or past the evolute): d t / d P = 0."""
     pts = curve.control_points
     # cubic Bernstein values and derivatives from the quadratic ones:
-    # B_k = (1 - t) b_k + t b_(k-1) and B'_k = 3 (b_(k-1) - b_k)
-    quad, zero = _casteljau(np.eye(3), ts), np.zeros((ts.size, 1))
-    lo, hi = np.concatenate([quad, zero], 1), np.concatenate([zero, quad], 1)
-    basis = (1.0 - ts)[:, None] * lo + ts[:, None] * hi
-    dbasis = 3.0 * (hi - lo)
+    # B_k = (1 - t) b_k + t b_(k-1) and B'_k = 3 (b_(k-1) - b_k); the
+    # elementwise work runs on items-last (transposed) layouts, and every
+    # factor returned or multiplied by BLAS is laid out items-first
+    quad, zero = _casteljau_rows(np.eye(3), ts), np.zeros((1, ts.size))
+    lo, hi = np.concatenate([quad, zero]), np.concatenate([zero, quad])
+    basis_t = (1.0 - ts) * lo + ts * hi
+    dbasis_t = 3.0 * (hi - lo)
+    basis, dbasis = basis_t.T.copy(), dbasis_t.T.copy()
     e = z - basis @ pts
     c1 = dbasis @ pts
-    speed2 = np.sum(c1 * c1, axis=1)
-    den = speed2 - np.sum(e * second_derivative(curve, ts), axis=1)
+    speed2 = np.add.reduce(c1 * c1, axis=1)
+    den = speed2 - np.add.reduce(e * second_derivative(curve, ts), axis=1)
     moves = (ts > 0.0) & (ts < 1.0) & (den > _EPS * speed2)
-    num = (dbasis[:, :, None] * e[:, None, :]
-           - basis[:, :, None] * c1[:, None, :])
-    dt = np.divide(num, den[:, None, None], out=np.zeros_like(num),
-                   where=moves[:, None, None])
-    return e, basis, c1, dt, den
+    num = (dbasis_t[:, None] * e.T.copy() - basis_t[:, None] * c1.T.copy())
+    dt = np.divide(num, den, out=np.zeros_like(num), where=moves)
+    return e, basis, c1, dt.transpose(2, 0, 1).copy(), den
 
 
 def _normal_equations(curve: RankingCurve, z: np.ndarray, ts: np.ndarray):
@@ -322,11 +328,13 @@ def _normal_equations(curve: RankingCurve, z: np.ndarray, ts: np.ndarray):
     e, basis, c1, dt, den = _foot_derivatives(curve, z, ts)
     n, d = e.shape
     tau = dt.reshape(n, -1)
-    btb = np.kron(basis.T @ basis, np.eye(d))
+    # (B^T B) kron I_d, entry by entry
+    btb = ((basis.T @ basis)[:, None, :, None]
+           * np.eye(d)[:, None]).reshape(4 * d, 4 * d)
     cross = (basis[:, :, None] * c1[:, None, :]).reshape(n, -1).T @ tau
     jtj = (btb + cross + cross.T
-           + tau.T @ (np.sum(c1 * c1, axis=1)[:, None] * tau))
-    grad = -(basis.T @ e).ravel() - tau.T @ np.sum(c1 * e, axis=1)
+           + tau.T @ (np.add.reduce(c1 * c1, axis=1)[:, None] * tau))
+    grad = -(basis.T @ e).ravel() - tau.T @ np.add.reduce(c1 * e, axis=1)
     hess = btb - tau.T @ (den[:, None] * tau)
     return jtj, grad, hess
 
@@ -378,9 +386,11 @@ def _constrain(points: np.ndarray, signs: np.ndarray):
         moved = not _copositive(*h[j])
         if moved:
             h0, h1, h2 = _cone_projection(*h[j])
+            p0 = float(points[0, j])
             for k in range(54):  # h1 is 0 at k = 53, and 0 always passes
-                col = points[0, j] + s * np.cumsum([0.0, h0, h1, h2])
-                h[j] = (s * np.diff(col)).tolist()
+                # in floats, summed in the order of np.cumsum
+                col = [p0 + s * c for c in accumulate((0.0, h0, h1, h2))]
+                h[j] = [s * (b - a) for a, b in zip(col, col[1:])]
                 if _copositive(*h[j]):
                     break
                 h1 -= h1 * 2.0 ** (k - 52)
@@ -396,33 +406,39 @@ def _constrain(points: np.ndarray, signs: np.ndarray):
 
 
 def _free_directions(points: np.ndarray, signs: np.ndarray,
-                     grad: np.ndarray, faces: list) -> np.ndarray:
+                     grad: np.ndarray, faces: list) -> np.ndarray | None:
     """Orthonormal basis (4d x m) of the control point moves that keep to
     the tangent plane of each face (see :func:`_constrain`) that the
     gradient of F / 2 (shaped like the points), taken along h, presses
     against; a face the gradient would leave is free.  Steps along a face
-    are then full steps of the model, where steps clipped onto it crawl."""
+    are then full steps of the model, where steps clipped onto it crawl.
+    None when no face is pressed: every direction is free."""
+    if not faces:
+        return None
     rows = []
     by_h = signs * np.cumsum(grad[:0:-1], axis=0)[::-1]  # dF/2 by h0, h1, h2
     for j, normal in faces:
-        s, n = signs[j], np.array(normal)
-        if n @ by_h[:, j] >= 0.0:
+        if np.array(normal) @ by_h[:, j] >= 0.0:
             row = np.zeros(points.shape)
-            row[:, j] = s * (np.r_[0.0, n] - np.r_[n, 0.0])  # n . s diff
+            # n . s diff
+            row[:, j] = signs[j] * np.subtract((0.0, *normal), (*normal, 0.0))
             rows.append(row.ravel())
     if not rows:
-        return np.eye(points.size)
+        return None
     return np.linalg.svd(np.array(rows))[2][len(rows):].T
 
 
-def fit(data: NormalizedTable, config: FitConfig = FitConfig()):
-    """Projected Levenberg-Marquardt fit; returns (RankingCurve, FitReport).
+def fit(data: NormalizedTable, config: FitConfig = FitConfig(), *,
+        feet: bool = False):
+    """Projected Levenberg-Marquardt fit; returns (RankingCurve, FitReport),
+    and with ``feet`` also the rows' projection parameters t on the returned
+    curve, as :func:`project_points` gives them.
 
     Each step models F by J^T J, or by its exact Hessian after an accepted
     iteration that lowered F by less than ``NEWTON_SWITCH`` relatively;
-    the damping is Marquardt's mu diag(J^T J) either way.  A Newton trial
-    that the Hessian model says does not descend is rejected unprojected,
-    at most ``MAX_PROJECTIONS`` times in a fit.
+    the damping is Marquardt's mu diag(J^T J) either way.  Any trial, Gauss-
+    Newton or Newton, that the Hessian model says does not descend is
+    rejected unprojected, at most ``MAX_PROJECTIONS`` times in a fit.
     ``MAX_PROJECTIONS`` caps the projections, rejected trials included.
     The recorded distances are those of the accepted iterates, so they never
     increase, and the returned curve is the last accepted one; each
@@ -453,7 +469,7 @@ def fit(data: NormalizedTable, config: FitConfig = FitConfig()):
     stop_reason = "max_iters"
     rel = None
     newton = False
-    unprojected = 0  # Newton trials rejected by their model
+    unprojected = 0  # trials rejected by the Hessian model
     while projections < MAX_PROJECTIONS:
         if total <= floor:
             stop_reason = "tol"
@@ -462,27 +478,32 @@ def fit(data: NormalizedTable, config: FitConfig = FitConfig()):
         scale = np.diag(np.diag(jtj))
         pts = curve.control_points
         basis = _free_directions(pts, signs, grad.reshape(pts.shape), faces)
+        rhs = -grad if basis is None else -basis.T @ grad
         accepted = stationary = False
         trials = 0
         while not accepted and projections < MAX_PROJECTIONS:
             trials += 1
-            model = hess if newton and unprojected < MAX_PROJECTIONS else jtj
+            screened = unprojected < MAX_PROJECTIONS
+            model = hess if newton and screened else jtj
+            lhs = model + damping * scale
+            if basis is not None:
+                lhs = basis.T @ lhs @ basis
             # least squares: J is singular where no foot holds the curve,
             # as along a tail beyond the data
-            lhs = basis.T @ (model + damping * scale) @ basis
-            delta = basis @ np.linalg.lstsq(lhs, -basis.T @ grad,
-                                            rcond=None)[0]
+            delta = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+            if basis is not None:
+                delta = basis @ delta
             trial, held = _constrain(pts + delta.reshape(pts.shape), signs)
-            if np.array_equal(trial, pts):  # stationary on the cone
+            if (trial == pts).all():  # stationary on the cone
                 stationary = True
                 break
             move = (trial - pts).ravel()
-            if model is hess and grad @ move + 0.5 * move @ hess @ move >= 0.0:
-                # the cone projection turned the Newton step into one that
-                # F's own second-order model says does not descend: a
-                # rejected trial, known without projecting.  After
-                # MAX_PROJECTIONS of them the fit models F by J^T J alone,
-                # whose trials all count against the cap
+            if screened and grad @ move + 0.5 * move @ hess @ move >= 0.0:
+                # F's own second-order model says that the step, after the
+                # cone projection, does not descend: a rejected trial,
+                # known without projecting.  After MAX_PROJECTIONS of them
+                # the fit models F by J^T J alone and projects every trial,
+                # so that each counts against the cap
                 unprojected += 1
                 damping *= 4.0
                 continue
@@ -514,12 +535,24 @@ def fit(data: NormalizedTable, config: FitConfig = FitConfig()):
         projections=projections,
         active_constraints=tuple(names[j] for j in sorted(active)),
     )
-    return curve, report
+    return (curve, report, ts) if feet else (curve, report)
 
 
 def fit_table(table: IndicatorTable, config: FitConfig = FitConfig()):
     """Normalize a raw table and fit; the usual entry point."""
     return fit(normalize(table), config)
+
+
+def fit_and_rank(table: IndicatorTable, config: FitConfig = FitConfig()):
+    """:func:`fit_table` and the ranking of the table's own rows, as
+    (curve, report, ranking).  The ranking is ``rank(table, curve)`` bit for
+    bit: the fit's last accepted projection put the same normalized rows
+    (both go through :func:`apply_transform`) onto the returned curve, and
+    a row's foot does not depend on its batch, so the rows are not
+    projected again."""
+    curve, report, ts = fit(normalize(table), config, feet=True)
+    scores = score_from_t(ts, curve.best_end)
+    return curve, report, make_ranking(table.item_ids, scores, "rpc")
 
 
 def rank(

@@ -41,17 +41,19 @@ O(n * d).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .bezier import BestEnd, RankingCurve, _casteljau, _power_coefficients
+from .bezier import BestEnd, RankingCurve, _casteljau_rows, _power_coefficients
 from .bezier import _CELL_MATRICES, _isolate, _newton
 from .errors import DomainError
 
 BLOCK = 2048
 TIE_RTOL = 2.0**-49  # eight units of rounding
+_POWERS = np.array([[1.0], [2.0], [3.0]])  # d/dt t**k = k t**(k - 1)
 
 
 @dataclass(frozen=True)
@@ -84,11 +86,11 @@ class _Kernel:
 def _kernel(curve: RankingCurve) -> _Kernel:
     cp = curve.control_points
     a = _power_coefficients(cp - cp[0])  # a0 = 0
-    e = int(np.frexp(np.abs(a).max())[1])
+    e = int(np.frexp(np.maximum.reduce(np.abs(a), axis=None))[1])
     a = np.ldexp(a, -e)
-    da = a[1:] * np.array([[1.0], [2.0], [3.0]])
+    da = a[1:] * _POWERS
     dd = sum(np.convolve(a[:, j], da[:, j]) for j in range(curve.dim))
-    cells = (dd[:, None, None] * _CELL_MATRICES).sum(axis=0)
+    cells = np.add.reduce(dd[:, None, None] * _CELL_MATRICES)
     return _Kernel(cp, e, da, dd, cells)
 
 
@@ -114,22 +116,27 @@ def _project_block(kern: _Kernel, pts: np.ndarray):
     cp = kern.control_points
     y, y3 = pts - cp[0], pts - cp[3]
     lin = _linear_part(kern, np.ldexp(y, -kern.exponent))
-    if not np.all(np.isfinite(lin)):
+    if not np.isfinite(lin).all():
         raise DomainError("points lie too far from the curve for its scale")
     b = lin[0] - kern.cells[:, :, None]  # (6, CELLS, n)
     for i in (1, 2):
         b += lin[i] * _CELL_MATRICES[i][:, :, None]
     (b_rows, lo, hi, start), (m_rows, mids) = _isolate(b, n)
-    coef = np.repeat(-kern.quintic[:, None], b_rows.size, axis=1)
-    coef[:3] += lin[:, b_rows]
+    # g = <y, C'> - <D, D'>: only its three lowest coefficients vary by row
+    coef = [*(lin.take(b_rows, axis=1) - kern.quintic[:3, None]),
+            *-kern.quintic[3:]]
     inner_rows, inner = b_rows, _newton(coef, lo, hi, start)
     if m_rows.size:  # depth-cap midpoints, near a double root
-        inner_rows, inner = np.r_[inner_rows, m_rows], np.r_[inner, mids]
+        inner_rows = np.concatenate([inner_rows, m_rows])
+        inner = np.concatenate([inner, mids])
 
-    # C(0) and C(1) are P0 and P3 exactly, so the ends need no de Casteljau
+    # C(0) and C(1) are P0 and P3 exactly, so the ends need no de Casteljau;
+    # the differences are laid out (d, rows), so that _squared_norms reads
+    # each coordinate as one contiguous row
     with np.errstate(over="ignore"):
-        d2 = _squared_norms(
-            np.concatenate([y, y3, pts[inner_rows] - _casteljau(cp, inner)]))
+        d2 = _squared_norms(np.concatenate(
+            [y.T, y3.T, pts.take(inner_rows, axis=0).T
+             - _casteljau_rows(cp, inner)], axis=1).T)
         d2_0, d2_1, d2_in = d2[:n], d2[n:2 * n], d2[2 * n:]
         d2_min = np.minimum(d2_0, d2_1)
         np.minimum.at(d2_min, inner_rows, d2_in)
@@ -140,9 +147,9 @@ def _project_block(kern: _Kernel, pts: np.ndarray):
         # that are equally far in exact arithmetic are chosen alike,
         # whatever their last bits.  Equal t give equal d^2 bits.  A row
         # keeps the sentinel t = 2 when only t = 1 is near it.
-        s = np.sqrt(cp.shape[1]) * np.abs(cp).max()
+        s = math.sqrt(cp.shape[1]) * np.maximum.reduce(np.abs(cp), axis=None)
         lim = d2_min + TIE_RTOL * (d2_min + 2.0 * s * np.sqrt(d2_min))
-    if not (np.all(np.isfinite(d2)) and np.all(np.isfinite(lim))):
+    if not (np.isfinite(d2).all() and np.isfinite(lim).all()):
         raise DomainError("points lie too far from the curve for its scale")
     # Far from the curve d2_0 and d2_1 round alike, so t = 0 is near only
     # where d2_0 - d2_1 = <y + y3, P3 - P0>, computed without that
@@ -152,12 +159,18 @@ def _project_block(kern: _Kernel, pts: np.ndarray):
     # (dim + 3) u bounds it; TIE_RTOL = 16 u does for dim up to 13.
     # P3 - P0 is scaled by a power of two to a largest entry in [0.5, 1),
     # so that the products do not underflow where the ends are close.
-    rtol = max(TIE_RTOL, (cp.shape[1] + 3) * 2.0**-53)
-    w = cp[3] - cp[0]
-    w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
-    gap = np.sum((y + y3) * w, axis=-1)
-    bound = rtol * np.sum((np.abs(y) + np.abs(y3)) * np.abs(w), axis=-1)
-    t_best = np.where((d2_0 <= lim) & (gap <= bound), 0.0, 2.0)
+    # Each row's test is its own, so it runs on the rows with t = 0 near.
+    t_best = np.full(n, 2.0)
+    end0 = (d2_0 <= lim).nonzero()[0]
+    if end0.size:
+        rtol = max(TIE_RTOL, (cp.shape[1] + 3) * 2.0**-53)
+        w = cp[3] - cp[0]
+        w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
+        y0, y30 = y.take(end0, axis=0), y3.take(end0, axis=0)
+        gap = np.add.reduce((y0 + y30) * w, axis=-1)
+        bound = rtol * np.add.reduce(
+            (np.abs(y0) + np.abs(y30)) * np.abs(w), axis=-1)
+        t_best[end0[gap <= bound]] = 0.0
     near = d2_in <= lim[inner_rows]
     np.minimum.at(t_best, inner_rows[near], inner[near])
     np.minimum(t_best, 1.0, out=t_best)
@@ -165,10 +178,14 @@ def _project_block(kern: _Kernel, pts: np.ndarray):
     hit = inner == t_best[inner_rows]
     d2_best[inner_rows[hit]] = d2_in[hit]
 
-    hodo = 3.0 * np.diff(cp, axis=0)
-    g0 = np.sum(y * hodo[0], axis=-1)
-    g1 = np.sum(y3 * hodo[2], axis=-1)
-    clamped = ((t_best == 0.0) & (g0 < 0.0)) | ((t_best == 1.0) & (g1 > 0.0))
+    # g at each end, from C'(0) = 3 (P1 - P0) and C'(1) = 3 (P3 - P2), on
+    # the rows whose foot is that end: clamped where g points outwards
+    clamped = np.zeros(n, dtype=bool)
+    for end, ys, tangent, out in ((0.0, y, cp[1] - cp[0], -1.0),
+                                  (1.0, y3, cp[3] - cp[2], 1.0)):
+        rows = (t_best == end).nonzero()[0]
+        g = np.add.reduce(ys.take(rows, axis=0) * (3.0 * tangent), axis=-1)
+        clamped[rows] = out * g > 0.0
     return t_best, np.sqrt(d2_best), clamped
 
 
@@ -184,19 +201,19 @@ def project_points(curve: RankingCurve, points: np.ndarray, workers: int = 1):
         raise DomainError(
             f"points have dimension {pts.shape[1]}, curve has {curve.dim}"
         )
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise DomainError("points must be finite")
-    project = partial(_project_block, _kernel(curve))
-    blocks = [pts[i:i + BLOCK] for i in range(0, max(len(pts), 1), BLOCK)]
-    if workers == 1 or len(blocks) == 1:
-        parts = [project(b) for b in blocks]
+    kern = _kernel(curve)
+    if len(pts) <= BLOCK:
+        return _project_block(kern, pts)
+    blocks = [pts[i:i + BLOCK] for i in range(0, len(pts), BLOCK)]
+    if workers == 1:
+        parts = [_project_block(kern, b) for b in blocks]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            parts = list(pool.map(project, blocks))
-    if len(parts) == 1:
-        return parts[0]
+            parts = list(pool.map(partial(_project_block, kern), blocks))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 

@@ -530,7 +530,7 @@ class TestCompare:
     def test_unknown_method_runs_no_fit(self, workdir, tmp_path, capsys,
                                         monkeypatch):
         fits = []
-        monkeypatch.setattr(evaluation, "fit_table",
+        monkeypatch.setattr(evaluation, "fit_and_rank",
                             lambda *args: fits.append(args))
         out = tmp_path / "cmp.json"
         code = main([

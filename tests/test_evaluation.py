@@ -516,13 +516,13 @@ class TestAuditRuns:
         """One shared base run, T perturbed runs per invariance criterion,
         the collinear fit and one Reproducibility rerun; every run one fit."""
         fits, runs = [], []
-        fit_table = evaluation.fit_table
+        fit_and_rank = evaluation.fit_and_rank
 
         def counted_fit(table, config):
             fits.append(table)
-            return fit_table(table, config)
+            return fit_and_rank(table, config)
 
-        monkeypatch.setattr(evaluation, "fit_table", counted_fit)
+        monkeypatch.setattr(evaluation, "fit_and_rank", counted_fit)
         pipe = rpc_pipeline()
 
         def counted_run(table):

@@ -25,7 +25,7 @@ from rpcurve.data import (
     normalize,
     orientation_signs,
 )
-from rpcurve.evaluation import Verdict, check_monotonicity
+from rpcurve.evaluation import Verdict, check_monotonicity, rpc_pipeline
 from rpcurve.errors import BadCurveFile, TooFewItems, TransformMismatch
 from rpcurve.fitting import (
     MAX_PROJECTIONS,
@@ -274,7 +274,7 @@ class TestFit:
     def test_bundled_fit_converges_by_tolerance(self, bundled_table):
         _, report, projections = counted_fit(bundled_table)
         assert report.converged and report.stop_reason == "tol"
-        assert projections <= 24  # Gauss-Newton steps alone took 38
+        assert projections <= 15  # Gauss-Newton steps alone take 34
         assert report.iterations == len(report.distances) <= projections
         assert 0.0 <= report.last_rel_change < REL_TOL
         assert np.all(np.diff(report.distances) <= 0.0)
@@ -326,6 +326,49 @@ class TestFit:
             _, report, projections = counted_fit(t)
         assert report.stop_reason == "max_iters" and projections == cap
         assert cap < calls["uphill"] < 2 * cap
+
+    def test_trials_uphill_on_the_hessian_model_are_not_projected(
+            self, bundled_table):
+        """Gauss-Newton alone (the switch to Newton steps disabled): a trial
+        whose step, after the cone projection, does not lower F's Hessian
+        model is rejected without projecting the items, and every other
+        trial is projected.  On the bundled table the first trials are
+        such uphill steps."""
+        seen, events = {}, []
+        project = fitting.project_points
+
+        def normal_equations(curve, z, ts):
+            jtj, grad, hess = _normal_equations(curve, z, ts)
+            seen.update(pts=curve.control_points, grad=grad, hess=hess)
+            return jtj, grad, hess
+
+        def constrain(points, signs):
+            trial, held = _constrain(points, signs)
+            if seen:  # a trial, not the start
+                move = (trial - seen["pts"]).ravel()
+                g, h = seen["grad"], seen["hess"]
+                events.append(g @ move + 0.5 * move @ h @ move)
+            return trial, held
+
+        def counted_projection(*args, **kwargs):
+            events.append("projected")
+            return project(*args, **kwargs)
+
+        with mock.patch.object(fitting, "NEWTON_SWITCH", -np.inf), \
+                mock.patch.object(fitting, "_normal_equations",
+                                  normal_equations), \
+                mock.patch.object(fitting, "_constrain", constrain), \
+                mock.patch.object(fitting, "project_points",
+                                  counted_projection):
+            _, report = fit_table(bundled_table)
+        assert report.stop_reason == "tol"
+        assert events[0] == "projected"  # the start
+        trials = [(model, events[i + 1:i + 2] == ["projected"])
+                  for i, model in enumerate(events) if model != "projected"]
+        assert all(projected == (model < 0.0) for model, projected in trials)
+        uphill = [model for model, _ in trials if model >= 0.0]
+        assert len(uphill) >= 4 and all(m > 0.0 for m in uphill[:4])
+        assert report.projections == 1 + len(trials) - len(uphill)
 
     @settings(max_examples=40, deadline=None)
     @given(grid_tables(), st.integers(2, 30))
@@ -403,6 +446,34 @@ class TestRank:
         ts, _, _ = project_points(curve, nt.values)
         want = ts if curve.best_end is BestEnd.AT_T1 else 1.0 - ts
         np.testing.assert_array_equal(np.asarray(r.scores), want)
+
+
+def assert_pipeline_ranks_as_rank(table):
+    """The rpc pipeline ranks a table's rows from its fit's own feet; that
+    ranking must be rank(table, curve), bit for bit."""
+    run = rpc_pipeline().run(table)
+    want = rank(table, run.curve)
+    got = run.ranking
+    assert got.item_ids == want.item_ids and got.method == want.method
+    assert got.scores.tobytes() == want.scores.tobytes()
+    assert got.orders.tobytes() == want.orders.tobytes()
+    assert got.tied.tobytes() == want.tied.tobytes()
+
+
+class TestPipelineRanking:
+    @pytest.mark.parametrize("perturb", ["none", "scale", "shift"])
+    def test_bundled_and_its_perturbations(self, bundled_table, perturb):
+        values = bundled_table.values.copy()
+        if perturb == "scale":
+            values[:, 0] *= 6.8
+        elif perturb == "shift":
+            values[:, 1] += 100.0
+        assert_pipeline_ranks_as_rank(bundled_table.with_values(values))
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid_tables())
+    def test_grid_tables(self, table):
+        assert_pipeline_ranks_as_rank(table)
 
 
 def as_column(values):
