@@ -1,17 +1,21 @@
-"""Print one digest per fit and per ``pca`` ranking of a fixed set of check
-tables, and one per group of projections, to compare two versions of the
-fit, the baseline and the projector bit for bit.
+"""Print one digest per fit, per ``pca`` ranking and per rpc audit of a
+fixed set of check tables, and one per group of projections, to compare
+two versions of the fit, the baseline, the audit and the projector bit for
+bit.
 
-Each table gives two lines.  The first is ``name digest projections``; the
+Each table gives three lines.  The first is ``name digest projections``; the
 digest covers the fitted control points, the rpc scores and orders of the
 table's own rows and the fit report as ``fit.json`` holds it, less its
 ``projections`` entry, which is the last field; so a change that only
 saves projections keeps every digest.  The second is ``name pca digest``,
-over the :func:`pca_rank` scores and orders.  Then each projection group
-gives ``proj d<d> 2^<k> digest clamped``: the digest covers the
-:func:`project_points` t, distance and clamped arrays of 240 points on each
-of 8 seeded random curves of dimension d with coordinates scaled by 2**k
-(d = 1-6, k = -40, 0, 40), and the last field counts the clamped feet.
+over the :func:`pca_rank` scores and orders.  The third is ``name audit
+digest``, over the JSON text of ``audit(rpc_pipeline(), table, trials=1)``,
+which holds the audit's verdicts, evidence and witnesses.  Then each
+projection group gives ``proj d<d> 2^<k> digest clamped``: the digest
+covers the :func:`project_points` t, distance and clamped arrays of 240
+points on each of 8 seeded random curves of dimension d with coordinates
+scaled by 2**k (d = 1-6, k = -40, 0, 40), and the last field counts the
+clamped feet.
 The last line is ``total projections N``, the sum over the tables' fits.
 Run it against two source trees and diff:
 
@@ -35,7 +39,7 @@ from rpcurve.baselines import pca_rank
 from rpcurve.bezier import BestEnd, RankingCurve, evaluate
 from rpcurve.data import (IndicatorTable, Orientation, json_text,
                           load_bundled_table)
-from rpcurve.evaluation import collinear_table
+from rpcurve.evaluation import audit, collinear_table, rpc_pipeline
 from rpcurve.fitting import fit_table, rank
 from rpcurve.projection import project_points
 
@@ -122,6 +126,8 @@ def main():
               report.projections)
         pca = pca_rank(table)
         print(name, "pca", digest(pca.scores, pca.orders))
+        report = audit(rpc_pipeline(), table, trials=1)
+        print(name, "audit", digest(json_text(report.to_dict())))
     for d, k, group in projection_groups():
         feet = [project_points(curve, x) for curve, x in group]
         clamped = sum(int(c.sum()) for _, _, c in feet)

@@ -95,9 +95,13 @@ def _check_t(t) -> np.ndarray:
 
 def _casteljau_rows(points: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Repeated linear interpolation of ``points`` (k x d) at t (...), as
-    (d, ...): t's axes come last, so that the long axis runs innermost."""
+    (d, ...): t's axes come last, so that the long axis runs innermost.
+    Points (m x k x d) give each of the m values of t (m) its own."""
     st = 1.0 - t
-    level = points.reshape(points.shape + (1,) * t.ndim)
+    if points.ndim == 3:
+        level = points.transpose(1, 2, 0)
+    else:
+        level = points.reshape(points.shape + (1,) * t.ndim)
     while len(level) > 1:
         level = st * level[:-1] + t * level[1:]
     return level[0]

@@ -15,12 +15,17 @@ Eight criteria are checked for any ranking pipeline over a given table:
   Reproducibility        re-running the pipeline is bit-identical
   OpenDataDeclared       the evaluated dataset declares its provenance
 
-An audit with T trials makes 2T + 3 pipeline runs: one base run on the
-input table, shared by every criterion that needs its orders, scores or
-curve; T perturbed runs for each invariance criterion; one run on the
-collinear table (curve methods only); and one rerun for Reproducibility,
-whose comparison NoFreeParameters also reports.  A failed base run is the
-``pipeline error`` Fail of every criterion but OpenDataDeclared.
+An audit with T >= 1 trials makes 2T + 3 pipeline runs, in this order:
+one base run on the input table, shared by every criterion that needs its
+orders, scores or curve; T perturbed runs for each invariance criterion;
+one rerun for Reproducibility, whose comparison NoFreeParameters also
+reports; and one run on the collinear table (curve methods only).  The
+first 2T + 2 are asked for at once, through the pipeline's ``run_many``
+where it has one: rpc's advances those same-shape fits together, one
+stacked projection per round (see :func:`rpcurve.fitting.fit_many`), and
+the rerun stays a fit of its own.  A run that raised fails only the
+criteria that read it; a failed base run is the ``pipeline error`` Fail of
+every criterion but OpenDataDeclared.
 
 Perturbation trials use fixed, documented sequences (nothing random):
 scaling trial 0 rescales dimension 0 alone by 6.8 and later trials rotate
@@ -56,8 +61,8 @@ from .bezier import (
     is_monotone,
 )
 from .data import IndicatorTable, Orientation
-from .errors import PipelineFailure, RankingError
-from .fitting import FitConfig, RankingResult, fit_and_rank
+from .errors import DomainError, PipelineFailure, RankingError
+from .fitting import FitConfig, RankingResult, fit_and_rank, fit_many
 
 LINEAR_RESIDUAL_TOL = 1e-6  # chord offset / chord length of a straight fit
 # C' vanishes where min |C'| <= REGULARITY_TOL * max |C'| (a scale- and
@@ -165,12 +170,16 @@ class RankingPipeline:
 
     ``run`` maps a table to ``(RankingResult, RankingCurve | None)``;
     methods with user-tunable knobs list them in
-    ``declared_free_parameters``.
+    ``declared_free_parameters``.  ``run_many``, if given, maps a list of
+    tables to one entry per table: what ``run`` returns for it, or the
+    exception that ``run`` would raise; the audit makes its runs of
+    several tables through it.
     """
 
     name: str
     run: Callable[[IndicatorTable], PipelineRun]
     declared_free_parameters: tuple[str, ...] = ()
+    run_many: Callable[[list[IndicatorTable]], list] | None = None
 
 
 def rpc_pipeline() -> RankingPipeline:
@@ -178,7 +187,12 @@ def rpc_pipeline() -> RankingPipeline:
         curve, _, ranking = fit_and_rank(table, FitConfig())
         return PipelineRun(ranking, curve)
 
-    return RankingPipeline(name="rpc", run=_run)
+    def _run_many(tables: list[IndicatorTable]) -> list:
+        return [fitted if isinstance(fitted, Exception)
+                else PipelineRun(fitted[2], fitted[0])
+                for fitted in fit_many(tables, FitConfig())]
+
+    return RankingPipeline(name="rpc", run=_run, run_many=_run_many)
 
 
 def arithmetic_pipeline(weights=None, variant: str = "raw") -> RankingPipeline:
@@ -224,6 +238,11 @@ _INVARIANCES = {
 }
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+
+
 def _trial_vectors(criterion: Criterion, d: int, trials: int):
     """The documented deterministic per-dimension perturbation sequence
     of an invariance criterion; trial 0 moves dimension min(dim, d - 1)."""
@@ -237,14 +256,42 @@ def _trial_vectors(criterion: Criterion, d: int, trials: int):
     return [first, *later][:trials]
 
 
+def _failure(pipeline: RankingPipeline, label: str,
+             exc: Exception) -> PipelineFailure:
+    failure = PipelineFailure(
+        f"pipeline {pipeline.name!r} failed during {label}: {exc}"
+    )
+    failure.__cause__ = exc
+    return failure
+
+
 def _run_trial(pipeline: RankingPipeline, table: IndicatorTable,
                label: str) -> PipelineRun:
     try:
         return pipeline.run(table)
     except Exception as exc:  # noqa: BLE001 - context added, then re-raised
-        raise PipelineFailure(
-            f"pipeline {pipeline.name!r} failed during {label}: {exc}"
-        ) from exc
+        raise _failure(pipeline, label, exc) from exc
+
+
+def _run_all(pipeline: RankingPipeline, tables: list[IndicatorTable],
+             labels: list[str]) -> list:
+    """The pipeline's runs of the tables, through its ``run_many`` if it
+    has one, else one ``run`` after another: per table its PipelineRun, or
+    the PipelineFailure named by its label if that run raised."""
+    if pipeline.run_many is None:
+        runs = []
+        for table in tables:
+            try:
+                runs.append(pipeline.run(table))
+            except Exception as exc:  # noqa: BLE001 - this run's failure
+                runs.append(exc)
+    else:
+        try:
+            runs = pipeline.run_many(list(tables))
+        except Exception as exc:  # noqa: BLE001 - every run's failure
+            runs = [exc] * len(tables)
+    return [_failure(pipeline, label, run) if isinstance(run, Exception)
+            else run for run, label in zip(runs, labels)]
 
 
 def _first_divergence(ids, base: np.ndarray, other: np.ndarray) -> str:
@@ -254,18 +301,31 @@ def _first_divergence(ids, base: np.ndarray, other: np.ndarray) -> str:
     return "tie structure changed"
 
 
-def _invariance_check(
-    pipeline: RankingPipeline,
+def _trials(table: IndicatorTable, criterion: Criterion, trials: int):
+    """An invariance criterion's perturbation vectors, and the perturbed
+    tables and run labels of its trials."""
+    kind, perturb, _, _ = _INVARIANCES[criterion]
+    vectors = _trial_vectors(criterion, table.n_indicators, trials)
+    tables = [table.with_values(perturb(table.values, vec)) for vec in vectors]
+    labels = [f"{kind} trial {r}" for r in range(len(vectors))]
+    return vectors, tables, labels
+
+
+def _invariance_verdict(
     table: IndicatorTable,
     base: RankingResult,
     criterion: Criterion,
-    trials: int,
+    vectors: list,
+    runs: list,
 ) -> CriterionResult:
-    kind, perturb, _, _ = _INVARIANCES[criterion]
-    vectors = _trial_vectors(criterion, table.n_indicators, trials)
-    for r, vec in enumerate(vectors):
-        perturbed = table.with_values(perturb(table.values, vec))
-        res = _run_trial(pipeline, perturbed, f"{kind} trial {r}").ranking
+    """The verdict from the runs of the trials, in order: the first trial
+    whose run changed the orders Fails, and a failed run raises its
+    PipelineFailure."""
+    kind = _INVARIANCES[criterion][0]
+    for r, (vec, run) in enumerate(zip(vectors, runs)):
+        if isinstance(run, PipelineFailure):
+            raise run
+        res = run.ranking
         if not np.array_equal(base.orders, res.orders):
             return CriterionResult(
                 criterion=criterion,
@@ -290,21 +350,29 @@ def _invariance_check(
     )
 
 
+def _check_invariance(pipeline: RankingPipeline, table: IndicatorTable,
+                      criterion: Criterion, trials: int) -> CriterionResult:
+    _check_trials(trials)
+    vectors, tables, labels = _trials(table, criterion, trials)
+    base, *runs = _run_all(pipeline, [table, *tables], ["base run", *labels])
+    if isinstance(base, PipelineFailure):
+        raise base
+    return _invariance_verdict(table, base.ranking, criterion, vectors, runs)
+
+
 def check_scale_invariance(
     pipeline: RankingPipeline, table: IndicatorTable, trials: int = 4
 ) -> CriterionResult:
-    base = _run_trial(pipeline, table, "base run").ranking
-    return _invariance_check(
-        pipeline, table, base, Criterion.SCALE_INVARIANCE, trials
+    return _check_invariance(
+        pipeline, table, Criterion.SCALE_INVARIANCE, trials
     )
 
 
 def check_translation_invariance(
     pipeline: RankingPipeline, table: IndicatorTable, trials: int = 4
 ) -> CriterionResult:
-    base = _run_trial(pipeline, table, "base run").ranking
-    return _invariance_check(
-        pipeline, table, base, Criterion.TRANSLATION_INVARIANCE, trials
+    return _check_invariance(
+        pipeline, table, Criterion.TRANSLATION_INVARIANCE, trials
     )
 
 
@@ -544,18 +612,28 @@ def audit(
     pipeline: RankingPipeline, table: IndicatorTable, trials: int = 4
 ) -> MetaCriteriaReport:
     """Run all eight criteria on one shared base run; per-criterion
-    failures never abort the audit."""
-    try:
-        base = _run_trial(pipeline, table, "base run")
-    except PipelineFailure as exc:
-        results = [_criterion_error(c, exc) for c in list(Criterion)[:-1]]
+    failures never abort the audit.  The base run, the trials and the
+    rerun are made in one :func:`_run_all`, in that order, and then the
+    collinear run if the base run has a curve.  DomainError if ``trials``
+    < 1."""
+    _check_trials(trials)
+    trial_sets = {c: _trials(table, c, trials) for c in _INVARIANCES}
+    tables, labels = [table], ["base run"]
+    for _, trial_tables, trial_labels in trial_sets.values():
+        tables += trial_tables
+        labels += trial_labels
+    base, *runs, rerun = _run_all(pipeline, [*tables, table],
+                                  [*labels, "rerun"])
+    if isinstance(base, PipelineFailure):
+        results = [_criterion_error(c, base) for c in list(Criterion)[:-1]]
         results.append(check_open_data(table))
         return MetaCriteriaReport(pipeline=pipeline.name, results=tuple(results))
 
-    results = [
-        _guarded(c, _invariance_check, pipeline, table, base.ranking, c, trials)
-        for c in _INVARIANCES
-    ]
+    results = []
+    for c, (vectors, _, _) in trial_sets.items():
+        trial_runs, runs = runs[:len(vectors)], runs[len(vectors):]
+        results.append(_guarded(c, _invariance_verdict, table, base.ranking,
+                                c, vectors, trial_runs))
     if base.curve is None:
         results += [
             CriterionResult(c, Verdict.NOT_APPLICABLE, _NO_CURVE)
@@ -575,11 +653,9 @@ def audit(
             ),
             check_smoothness(base.curve),
         ]
-    try:
-        rerun = _run_trial(pipeline, table, "rerun")
-    except PipelineFailure as exc:
+    if isinstance(rerun, PipelineFailure):
         results += [
-            _criterion_error(c, exc)
+            _criterion_error(c, rerun)
             for c in (Criterion.NO_FREE_PARAMETERS, Criterion.REPRODUCIBILITY)
         ]
     else:

@@ -52,6 +52,14 @@ equals P (stationary on the cone), or when F is at rounding level; it
 stops on ``"max_iters"`` after ``MAX_PROJECTIONS`` (200) projections,
 rejected trials included.  The accepted distances never increase.
 
+The fit is a generator of the projections it needs (:func:`_fit_steps`).
+:func:`fit` answers each request with one :func:`project_points` call;
+:func:`fit_many` runs several fits in lockstep and answers, each round,
+all the fits of one table shape with one stacked call, which pays a
+call's fixed numpy cost once where the rows are few.  The audit's
+same-shape runs go through it, and it is the engine that fits from
+several starts (ROADMAP item 3) need.
+
 Every step is deterministic; there is no randomness anywhere, so a
 repeated fit on identical input is bit-identical.  The start line runs
 towards the better end in the declared orientations (see
@@ -428,22 +436,11 @@ def _free_directions(points: np.ndarray, signs: np.ndarray,
     return np.linalg.svd(np.array(rows))[2][len(rows):].T
 
 
-def fit(data: NormalizedTable, config: FitConfig = FitConfig(), *,
-        feet: bool = False):
-    """Projected Levenberg-Marquardt fit; returns (RankingCurve, FitReport),
-    and with ``feet`` also the rows' projection parameters t on the returned
-    curve, as :func:`project_points` gives them.
-
-    Each step models F by J^T J, or by its exact Hessian after an accepted
-    iteration that lowered F by less than ``NEWTON_SWITCH`` relatively;
-    the damping is Marquardt's mu diag(J^T J) either way.  Any trial, Gauss-
-    Newton or Newton, that the Hessian model says does not descend is
-    rejected unprojected, at most ``MAX_PROJECTIONS`` times in a fit.
-    ``MAX_PROJECTIONS`` caps the projections, rejected trials included.
-    The recorded distances are those of the accepted iterates, so they never
-    increase, and the returned curve is the last accepted one; each
-    dimension then gets an exact monotonicity verdict.
-    """
+def _fit_steps(data: NormalizedTable):
+    """The fit of :func:`fit` as a generator of its projections: it yields
+    (curve, rows) for each projection it needs, is sent that projection's
+    (t, distance) arrays as :func:`project_points` gives them, and returns
+    (curve, report, t)."""
     z = data.values
     projections = 0
 
@@ -455,14 +452,14 @@ def fit(data: NormalizedTable, config: FitConfig = FitConfig(), *,
             best_end=BestEnd.AT_T1,
             transform=data.transform,
         )
-        ts, dist, _ = project_points(candidate, z, workers=config.workers)
+        ts, dist = yield candidate, z
         return candidate, ts, float(np.sum(dist * dist))
 
     start = init_curve(data).control_points
     signs = orientation_signs(data.orientations)
     # flattens each column whose line runs against its orientation
     start, faces = _constrain(start, signs)
-    curve, ts, total = project(start)
+    curve, ts, total = yield from project(start)
     distances = [total]
     floor = z.size * ROUNDING**2
     damping = DAMPING_START
@@ -507,7 +504,7 @@ def fit(data: NormalizedTable, config: FitConfig = FitConfig(), *,
                 unprojected += 1
                 damping *= 4.0
                 continue
-            step = project(trial)
+            step = yield from project(trial)
             rel = (total - step[2]) / total
             accepted = step[2] <= total
             if accepted:
@@ -535,12 +532,97 @@ def fit(data: NormalizedTable, config: FitConfig = FitConfig(), *,
         projections=projections,
         active_constraints=tuple(names[j] for j in sorted(active)),
     )
+    return curve, report, ts
+
+
+def fit(data: NormalizedTable, config: FitConfig = FitConfig(), *,
+        feet: bool = False):
+    """Projected Levenberg-Marquardt fit; returns (RankingCurve, FitReport),
+    and with ``feet`` also the rows' projection parameters t on the returned
+    curve, as :func:`project_points` gives them.
+
+    Each step models F by J^T J, or by its exact Hessian after an accepted
+    iteration that lowered F by less than ``NEWTON_SWITCH`` relatively;
+    the damping is Marquardt's mu diag(J^T J) either way.  Any trial, Gauss-
+    Newton or Newton, that the Hessian model says does not descend is
+    rejected unprojected, at most ``MAX_PROJECTIONS`` times in a fit.
+    ``MAX_PROJECTIONS`` caps the projections, rejected trials included.
+    The recorded distances are those of the accepted iterates, so they never
+    increase, and the returned curve is the last accepted one; each
+    dimension then gets an exact monotonicity verdict.  The fit drives
+    :func:`_fit_steps` with one projection per request.
+    """
+    steps = _fit_steps(data)
+    try:
+        request = next(steps)
+        while True:
+            ts, dist, _ = project_points(*request, workers=config.workers)
+            request = steps.send((ts, dist))
+    except StopIteration as done:
+        curve, report, ts = done.value
     return (curve, report, ts) if feet else (curve, report)
+
+
+def _lockstep(steps: list, workers: int) -> list:
+    """Drive several generators of fits (see :func:`_fit_steps`) together.
+    Each round answers every fit that waits for a projection: the fits
+    whose rows have one shape share one stacked :func:`project_points`
+    call.  A row's foot does not depend on its batch, so each fit takes the
+    steps it takes alone.  Returns, per generator, what it returned or the
+    exception it raised; should a stacked call raise, its curves are
+    projected one by one, so that only the fit whose rows raise gets the
+    exception, as it would alone."""
+    out: list = [None] * len(steps)
+    waiting = {}
+
+    def advance(i, resume, value):
+        try:
+            waiting[i] = resume(value)
+        except StopIteration as done:
+            out[i] = done.value
+        except Exception as exc:  # noqa: BLE001 - this fit's own failure
+            out[i] = exc
+
+    for i, gen in enumerate(steps):
+        advance(i, gen.send, None)
+    while waiting:
+        asked, waiting = waiting, {}
+        groups: dict = {}
+        for i, (_, rows) in asked.items():
+            groups.setdefault(rows.shape, []).append(i)
+        for group in groups.values():
+            curves, rows = zip(*(asked[i] for i in group))
+            try:
+                ts, dist, _ = project_points(curves, np.stack(rows),
+                                             workers=workers)
+                feet = list(zip(ts, dist))
+            except Exception:  # noqa: BLE001 - retried curve by curve
+                feet = []
+                for i in group:
+                    try:
+                        feet.append(project_points(*asked[i],
+                                                   workers=workers)[:2])
+                    except Exception as exc:  # noqa: BLE001 - sent back
+                        feet.append(exc)
+            for i, answer in zip(group, feet):
+                if isinstance(answer, Exception):
+                    advance(i, steps[i].throw, answer)
+                else:
+                    advance(i, steps[i].send, answer)
+    return out
 
 
 def fit_table(table: IndicatorTable, config: FitConfig = FitConfig()):
     """Normalize a raw table and fit; the usual entry point."""
     return fit(normalize(table), config)
+
+
+def _ranked(table: IndicatorTable, curve: RankingCurve, report: FitReport,
+            ts: np.ndarray):
+    """(curve, report, ranking) of a fit of the table, ranked from the feet
+    of the fit's last projection."""
+    scores = score_from_t(ts, curve.best_end)
+    return curve, report, make_ranking(table.item_ids, scores, "rpc")
 
 
 def fit_and_rank(table: IndicatorTable, config: FitConfig = FitConfig()):
@@ -550,9 +632,25 @@ def fit_and_rank(table: IndicatorTable, config: FitConfig = FitConfig()):
     (both go through :func:`apply_transform`) onto the returned curve, and
     a row's foot does not depend on its batch, so the rows are not
     projected again."""
-    curve, report, ts = fit(normalize(table), config, feet=True)
-    scores = score_from_t(ts, curve.best_end)
-    return curve, report, make_ranking(table.item_ids, scores, "rpc")
+    return _ranked(table, *fit(normalize(table), config, feet=True))
+
+
+def _ranked_steps(table: IndicatorTable):
+    """:func:`fit_and_rank` of the table as a generator of its projections,
+    as :func:`_fit_steps` makes them."""
+    fitted = yield from _fit_steps(normalize(table))
+    return _ranked(table, *fitted)
+
+
+def fit_many(tables, config: FitConfig = FitConfig()) -> list:
+    """:func:`fit_and_rank` of each table, bit for bit, with the fits run
+    in lockstep (see :func:`_lockstep`): each round makes one stacked
+    projection for all the fits of one table shape, where one call per fit
+    would each pay the fixed cost of a call.  Returns one entry per table:
+    its (curve, report, ranking), or the exception that its fit raised,
+    which leaves the other fits as they are."""
+    return _lockstep([_ranked_steps(table) for table in tables],
+                     config.workers)
 
 
 def rank(

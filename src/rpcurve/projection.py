@@ -32,18 +32,23 @@ clamp products are unscaled (ROADMAP item 6): on a curve below about
 P1 = P2 = P3 = 0 takes the point 0 to t = 0.99899, not 1), and a point
 about 1e154 or more from an end overflows them, raising DomainError.
 
-Rows go through in blocks of BLOCK, which bounds the temporaries; with
-several workers, whole blocks go to a thread pool.  Every operation is
-elementwise per row, so a point's result is bit-identical whether it is
-projected alone, in any batch, or with any worker count, and memory is
-O(n * d).
+One call can serve a stack of K curves of one dimension, with points
+(K, n, d): each curve's numbers (control points, exponent, hodograph,
+cells, quintic, tie slack, end vector and end tangents) broadcast along
+its own rows, so that the K projections pay one call's fixed cost.  A
+single curve runs the same block code without the curve axis.  Rows go
+through in blocks of at most BLOCK rows in total, over all curves, which
+bounds the temporaries; with several workers, whole blocks go to a thread
+pool.  Every operation is elementwise per row, so a point's result is
+bit-identical whether it is projected alone, in any batch or stack, or
+with any worker count, and memory is O(K * n * d).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,36 +75,50 @@ class ProjectionResult:
     clamped: bool
 
 
-@dataclass(frozen=True)
-class _Kernel:
+class _Kernel(NamedTuple):
     """Everything about one curve that the projection of a block needs.
     Coefficient arrays are laid out coefficient-major, (6, ...), so that
-    each coefficient of many cells is one contiguous row."""
+    each coefficient of many cells is one contiguous row.  A stack of
+    curves has one kernel of the same fields (see :func:`_stacked`)."""
 
     control_points: np.ndarray
-    exponent: int  # D and y enter g scaled by 2**-exponent, nothing else
+    exponent: np.intc  # D and y enter g scaled by 2**-exponent, nothing else
     hodograph: np.ndarray  # 3 x d power coefficients of the scaled C'
     quintic: np.ndarray  # 6 power coefficients of the scaled <D, D'>
     cells: np.ndarray  # 6 x CELLS Bernstein coefficients of the same
+    slack: float  # s = sqrt(dim) max |P|, the tie slack's length scale
 
 
 def _kernel(curve: RankingCurve) -> _Kernel:
     cp = curve.control_points
     a = _power_coefficients(cp - cp[0])  # a0 = 0
-    e = int(np.frexp(np.maximum.reduce(np.abs(a), axis=None))[1])
+    e = np.frexp(np.maximum.reduce(np.abs(a), axis=None))[1]  # an intc
     a = np.ldexp(a, -e)
     da = a[1:] * _POWERS
     dd = sum(np.convolve(a[:, j], da[:, j]) for j in range(curve.dim))
     cells = np.add.reduce(dd[:, None, None] * _CELL_MATRICES)
-    return _Kernel(cp, e, da, dd, cells)
+    s = math.sqrt(curve.dim) * np.maximum.reduce(np.abs(cp), axis=None)
+    return _Kernel(cp, e, da, dd, cells, s)
+
+
+def _stacked(kerns) -> _Kernel:
+    """The kernel of a stack of K curves, laid out to broadcast along a
+    block of rows (K, m): control points (K, 4, d), exponents (K, 1, 1),
+    hodographs (K, 3, d), quintics (K, 6), cells (6, CELLS, K) and slacks
+    (K)."""
+    cp, e, hodograph, quintic, cells, s = zip(*kerns)
+    return _Kernel(np.array(cp), np.array(e)[:, None, None],
+                   np.array(hodograph), np.array(quintic),
+                   np.stack(cells, axis=-1), np.array(s))
 
 
 def _linear_part(kern: _Kernel, y: np.ndarray) -> np.ndarray:
-    """(3, n) power coefficients of <y, C'(t)>, summed in a fixed order."""
-    da = kern.hodograph[:, :, None]
-    lin = y[:, 0] * da[:, 0]
-    for j in range(1, y.shape[1]):
-        lin = lin + y[:, j] * da[:, j]
+    """(3, ...) power coefficients of <y, C'(t)> for the rows of y (..., d):
+    one curve's (n, d) or a stack's (K, m, d).  Summed in a fixed order."""
+    da = kern.hodograph.swapaxes(0, -2)[..., None, :]
+    lin = y[..., 0] * da[..., 0]
+    for j in range(1, y.shape[-1]):
+        lin = lin + y[..., j] * da[..., j]
     return lin
 
 
@@ -112,19 +131,34 @@ def _squared_norms(diff: np.ndarray) -> np.ndarray:
 
 
 def _project_block(kern: _Kernel, pts: np.ndarray):
-    n = pts.shape[0]
+    """(t, distance, clamped) of a block of rows, each shaped like the
+    rows: one curve's kernel and rows (n, d), or a stack's kernel (see
+    :func:`_stacked`) and rows (K, m, d), with the k-th rows on curve k."""
+    lead, dim = pts.shape[:-1], pts.shape[-1]
+    n, m = math.prod(lead), lead[-1]  # row r is row r % m of curve r // m
+    stack = len(lead) == 2
+
+    def by_row(per_curve: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """A stack's per-curve values (K, ...) of each of the rows, rows
+        first; one curve's values as they are."""
+        return per_curve.take(rows // m, axis=0) if stack else per_curve
+
     cp = kern.control_points
-    y, y3 = pts - cp[0], pts - cp[3]
+    y, y3 = pts - cp[..., :1, :], pts - cp[..., 3:, :]
     lin = _linear_part(kern, np.ldexp(y, -kern.exponent))
     if not np.isfinite(lin).all():
         raise DomainError("points lie too far from the curve for its scale")
-    b = lin[0] - kern.cells[:, :, None]  # (6, CELLS, n)
+    b = lin[0] - kern.cells[..., None]  # (6, CELLS, *lead)
     for i in (1, 2):
-        b += lin[i] * _CELL_MATRICES[i][:, :, None]
+        b += lin[i] * _CELL_MATRICES[i][(..., None, None) if stack else
+                                        (..., None)]
+    if stack:  # every row on its own from here on, to be laid out (K, m)
+        lin, pts = lin.reshape(3, n), pts.reshape(n, dim)
+        y, y3 = y.reshape(n, dim), y3.reshape(n, dim)
     (b_rows, lo, hi, start), (m_rows, mids) = _isolate(b, n)
     # g = <y, C'> - <D, D'>: only its three lowest coefficients vary by row
-    coef = [*(lin.take(b_rows, axis=1) - kern.quintic[:3, None]),
-            *-kern.quintic[3:]]
+    q = by_row(kern.quintic, b_rows).T  # (6,) or (6, rows)
+    coef = [*(lin.take(b_rows, axis=1) - q[:3].reshape(3, -1)), *-q[3:]]
     inner_rows, inner = b_rows, _newton(coef, lo, hi, start)
     if m_rows.size:  # depth-cap midpoints, near a double root
         inner_rows = np.concatenate([inner_rows, m_rows])
@@ -136,7 +170,7 @@ def _project_block(kern: _Kernel, pts: np.ndarray):
     with np.errstate(over="ignore"):
         d2 = _squared_norms(np.concatenate(
             [y.T, y3.T, pts.take(inner_rows, axis=0).T
-             - _casteljau_rows(cp, inner)], axis=1).T)
+             - _casteljau_rows(by_row(cp, inner_rows), inner)], axis=1).T)
         d2_0, d2_1, d2_in = d2[:n], d2[n:2 * n], d2[2 * n:]
         d2_min = np.minimum(d2_0, d2_1)
         np.minimum.at(d2_min, inner_rows, d2_in)
@@ -147,7 +181,7 @@ def _project_block(kern: _Kernel, pts: np.ndarray):
         # that are equally far in exact arithmetic are chosen alike,
         # whatever their last bits.  Equal t give equal d^2 bits.  A row
         # keeps the sentinel t = 2 when only t = 1 is near it.
-        s = math.sqrt(cp.shape[1]) * np.maximum.reduce(np.abs(cp), axis=None)
+        s = np.repeat(kern.slack, m) if stack else kern.slack
         lim = d2_min + TIE_RTOL * (d2_min + 2.0 * s * np.sqrt(d2_min))
     if not (np.isfinite(d2).all() and np.isfinite(lim).all()):
         raise DomainError("points lie too far from the curve for its scale")
@@ -163,9 +197,10 @@ def _project_block(kern: _Kernel, pts: np.ndarray):
     t_best = np.full(n, 2.0)
     end0 = (d2_0 <= lim).nonzero()[0]
     if end0.size:
-        rtol = max(TIE_RTOL, (cp.shape[1] + 3) * 2.0**-53)
-        w = cp[3] - cp[0]
-        w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
+        rtol = max(TIE_RTOL, (dim + 3) * 2.0**-53)
+        w = cp[..., 3, :] - cp[..., 0, :]
+        w = np.ldexp(w, -np.frexp(np.abs(w).max(axis=-1, keepdims=True))[1])
+        w = by_row(w, end0)
         y0, y30 = y.take(end0, axis=0), y3.take(end0, axis=0)
         gap = np.add.reduce((y0 + y30) * w, axis=-1)
         bound = rtol * np.add.reduce(
@@ -181,40 +216,75 @@ def _project_block(kern: _Kernel, pts: np.ndarray):
     # g at each end, from C'(0) = 3 (P1 - P0) and C'(1) = 3 (P3 - P2), on
     # the rows whose foot is that end: clamped where g points outwards
     clamped = np.zeros(n, dtype=bool)
-    for end, ys, tangent, out in ((0.0, y, cp[1] - cp[0], -1.0),
-                                  (1.0, y3, cp[3] - cp[2], 1.0)):
+    for end, ys, (k, j), out in ((0.0, y, (1, 0), -1.0),
+                                 (1.0, y3, (3, 2), 1.0)):
         rows = (t_best == end).nonzero()[0]
-        g = np.add.reduce(ys.take(rows, axis=0) * (3.0 * tangent), axis=-1)
+        tangent = 3.0 * (cp[..., k, :] - cp[..., j, :])
+        g = np.add.reduce(ys.take(rows, axis=0) * by_row(tangent, rows),
+                          axis=-1)
         clamped[rows] = out * g > 0.0
-    return t_best, np.sqrt(d2_best), clamped
+    out = t_best, np.sqrt(d2_best), clamped
+    return tuple(a.reshape(lead) for a in out) if stack else out
 
 
-def project_points(curve: RankingCurve, points: np.ndarray, workers: int = 1):
+def project_points(curve: RankingCurve | Sequence[RankingCurve],
+                   points: np.ndarray, workers: int = 1):
     """Project many points; returns (t, distance, clamped) arrays.
 
-    ``workers`` > 1 projects blocks of BLOCK rows on that many threads; a
-    batch of one block runs inline.  DomainError if ``workers`` < 1."""
+    ``curve`` is one curve, with points (n, d) and arrays (n), or a
+    sequence of K curves of one dimension, with a stack of points
+    (K, n, d) whose k-th rows go onto the k-th curve, and arrays (K, n).
+    The rows go through in blocks of at most BLOCK rows in all;
+    ``workers`` > 1 projects the blocks on that many threads, and a batch
+    of one block runs inline.  DomainError if ``workers`` < 1."""
     if workers < 1:
         raise DomainError("workers must be >= 1")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != curve.dim:
+    one = isinstance(curve, RankingCurve)
+    curves = [curve] if one else list(curve)
+    pts = np.asarray(points, dtype=float)
+    if one:
+        pts = np.atleast_2d(pts)
+    elif pts.ndim != 3 or not curves or len(pts) != len(curves):
         raise DomainError(
-            f"points have dimension {pts.shape[1]}, curve has {curve.dim}"
+            f"a stack of {len(curves)} curves takes points of shape "
+            f"({len(curves)}, n, d), got {pts.shape}"
         )
+    for c in curves:
+        if pts.shape[-1] != c.dim:
+            raise DomainError(
+                f"points have dimension {pts.shape[-1]}, curve has {c.dim}"
+            )
     if not np.isfinite(pts).all():
         raise DomainError("points must be finite")
-    kern = _kernel(curve)
-    if len(pts) <= BLOCK:
-        return _project_block(kern, pts)
-    blocks = [pts[i:i + BLOCK] for i in range(0, len(pts), BLOCK)]
+    # blocks of at most BLOCK rows in all: one curve's rows BLOCK at a time,
+    # or a group of up to BLOCK curves' rows BLOCK // group at a time
+    if one:
+        groups, rows = [(_kernel(curve), pts)], BLOCK
+    else:
+        kerns = [_kernel(c) for c in curves]
+        size = min(len(kerns), BLOCK)
+        groups = [(_stacked(kerns[a:a + size]), pts[a:a + size])
+                  for a in range(0, len(kerns), size)]
+        rows = BLOCK // size
+    n = pts.shape[-2]
+    if len(groups) == 1 and n <= rows:
+        return _project_block(*groups[0])
+    starts = range(0, max(n, 1), rows)
+    blocks = [(kern, p[..., i:i + rows, :]) for kern, p in groups
+              for i in starts]
     if workers == 1:
-        parts = [_project_block(kern, b) for b in blocks]
+        parts = [_project_block(*block) for block in blocks]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            parts = list(pool.map(partial(_project_block, kern), blocks))
-    return tuple(np.concatenate(p) for p in zip(*parts))
+            parts = list(pool.map(_project_block, *zip(*blocks)))
+    per = len(starts)
+    return tuple(
+        np.concatenate([np.concatenate([p[k] for p in parts[g:g + per]],
+                                       axis=-1)
+                        for g in range(0, len(parts), per)])
+        for k in range(3))
 
 
 def project_point(curve: RankingCurve, x: np.ndarray) -> ProjectionResult:

@@ -13,6 +13,7 @@ from rpcurve import evaluation
 from rpcurve.baselines import pca_rank
 from rpcurve.bezier import RankingCurve, derivative
 from rpcurve.data import IndicatorTable, Orientation
+from rpcurve.errors import DomainError
 from rpcurve.evaluation import (
     REGULARITY_TOL,
     Criterion,
@@ -514,22 +515,34 @@ class TestAuditRuns:
         self, noisy_table, trials, monkeypatch
     ):
         """One shared base run, T perturbed runs per invariance criterion,
-        the collinear fit and one Reproducibility rerun; every run one fit."""
+        the collinear fit and one Reproducibility rerun; every run one fit,
+        counted through ``run_many`` and ``fit_many`` as well as ``run``
+        and ``fit_and_rank``."""
         fits, runs = [], []
-        fit_and_rank = evaluation.fit_and_rank
+        fit_and_rank, fit_many = evaluation.fit_and_rank, evaluation.fit_many
 
         def counted_fit(table, config):
             fits.append(table)
             return fit_and_rank(table, config)
 
+        def counted_fits(tables, config):
+            fits.extend(tables)
+            return fit_many(tables, config)
+
         monkeypatch.setattr(evaluation, "fit_and_rank", counted_fit)
+        monkeypatch.setattr(evaluation, "fit_many", counted_fits)
         pipe = rpc_pipeline()
 
         def counted_run(table):
             runs.append(table)
             return pipe.run(table)
 
-        counted = dataclasses.replace(pipe, run=counted_run)
+        def counted_runs(tables):
+            runs.extend(tables)
+            return pipe.run_many(tables)
+
+        counted = dataclasses.replace(pipe, run=counted_run,
+                                      run_many=counted_runs)
         report = audit(counted, noisy_table, trials=trials)
         assert report.all_applicable_pass
         assert len(runs) == 2 * trials + 3
@@ -576,13 +589,13 @@ class TestAuditRuns:
     @pytest.mark.parametrize("call, label, criterion", [
         (3, "scale trial 1", Criterion.SCALE_INVARIANCE),
         (4, "shift trial 0", Criterion.TRANSLATION_INVARIANCE),
-        (6, "linear-compatibility run", Criterion.LINEAR_COMPATIBILITY),
+        (7, "linear-compatibility run", Criterion.LINEAR_COMPATIBILITY),
     ])
     def test_failed_perturbed_run_fails_only_its_criterion(
         self, noisy_table, rpc_audit, call, label, criterion
     ):
         """With T = 2 the runs are: base, two scale trials, two shift
-        trials, the collinear run, the rerun."""
+        trials, the rerun, the collinear run."""
         pipe = rpc_pipeline()
         runs = []
 
@@ -596,6 +609,53 @@ class TestAuditRuns:
         message = f"pipeline 'rpc' failed during {label}: perturbed run broke"
         for got, want in zip(report.results, rpc_audit.results):
             if got.criterion is criterion:
+                assert got.verdict is Verdict.FAIL
+                assert got.evidence == f"pipeline error: {message}"
+                assert got.witness == {"error": message}
+            else:
+                assert got == want
+
+    @pytest.mark.parametrize("check", [
+        audit, check_scale_invariance, check_translation_invariance])
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_fewer_than_one_trial_is_a_domain_error(
+        self, noisy_table, check, trials
+    ):
+        """No trial would run, so no criterion could pass: refused before
+        any run."""
+        runs = []
+
+        def counted(table):
+            runs.append(table)
+            return pca_pipeline().run(table)
+
+        with pytest.raises(DomainError, match="trials must be >= 1"):
+            check(RankingPipeline("pca", counted), noisy_table, trials=trials)
+        assert runs == []
+
+    @pytest.mark.parametrize("index, label, criteria", [
+        (2, "scale trial 1", {Criterion.SCALE_INVARIANCE}),
+        (3, "shift trial 0", {Criterion.TRANSLATION_INVARIANCE}),
+        (5, "rerun", {Criterion.NO_FREE_PARAMETERS,
+                      Criterion.REPRODUCIBILITY}),
+    ])
+    def test_failed_batched_run_fails_only_its_criteria(
+        self, noisy_table, rpc_audit, index, label, criteria
+    ):
+        """``run_many`` returns the exception of one run: only the criteria
+        that read that run Fail, with the label of that run."""
+        pipe = rpc_pipeline()
+
+        def flaky(tables):
+            runs = pipe.run_many(tables)
+            runs[index] = ValueError("batched run broke")
+            return runs
+
+        report = audit(dataclasses.replace(pipe, run_many=flaky),
+                       noisy_table, trials=2)
+        message = f"pipeline 'rpc' failed during {label}: batched run broke"
+        for got, want in zip(report.results, rpc_audit.results):
+            if got.criterion in criteria:
                 assert got.verdict is Verdict.FAIL
                 assert got.evidence == f"pipeline error: {message}"
                 assert got.witness == {"error": message}

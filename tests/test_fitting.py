@@ -25,19 +25,35 @@ from rpcurve.data import (
     normalize,
     orientation_signs,
 )
-from rpcurve.evaluation import Verdict, check_monotonicity, rpc_pipeline
-from rpcurve.errors import BadCurveFile, TooFewItems, TransformMismatch
+from rpcurve.data import json_text
+from rpcurve.evaluation import (
+    Criterion,
+    Verdict,
+    audit,
+    check_monotonicity,
+    rpc_pipeline,
+)
+from rpcurve.errors import (
+    BadCurveFile,
+    DomainError,
+    TooFewItems,
+    TransformMismatch,
+)
 from rpcurve.fitting import (
     MAX_PROJECTIONS,
     REL_TOL,
     FitConfig,
     _cone_projection,
     _constrain,
+    _fit_steps,
+    _lockstep,
     _foot_derivatives,
     _normal_equations,
     assign_orders,
     first_principal_axis,
     fit,
+    fit_and_rank,
+    fit_many,
     fit_table,
     init_curve,
     load_curve,
@@ -474,6 +490,101 @@ class TestPipelineRanking:
     @given(grid_tables())
     def test_grid_tables(self, table):
         assert_pipeline_ranks_as_rank(table)
+
+
+def fitted_bytes(fitted):
+    """A fit_and_rank triple as bytes, its report as fit.json holds it."""
+    curve, report, ranking = fitted
+    return (curve.control_points.tobytes(), json_text(report.to_dict()),
+            ranking.item_ids, ranking.method, ranking.scores.tobytes(),
+            ranking.orders.tobytes(), ranking.tied.tobytes())
+
+
+def uniform_table(seed):
+    return positive_table(np.random.default_rng(seed).uniform(size=(20, 3)))
+
+
+def positive_table(values):
+    n, d = values.shape
+    return IndicatorTable(
+        item_ids=tuple(f"it{i:02d}" for i in range(n)),
+        indicator_names=tuple(f"c{j}" for j in range(d)),
+        orientations=(Orientation.POSITIVE,) * d,
+        values=values,
+    )
+
+
+def assert_batched_audit_as_one_run_at_a_time(table, trials):
+    """The audit through ``run_many`` (the fits in lockstep) and through a
+    copy of the pipeline without it (one fit per run) agree to the byte."""
+    pipe = rpc_pipeline()
+    batched = audit(pipe, table, trials=trials)
+    single = audit(dataclasses.replace(pipe, run_many=None), table,
+                   trials=trials)
+    assert json_text(batched.to_dict()) == json_text(single.to_dict())
+    return batched
+
+
+class TestLockstep:
+    def test_fit_many_equals_fit_and_rank(self, bundled_table):
+        scaled, shifted = bundled_table.values.copy(), bundled_table.values.copy()
+        scaled[:, 0] *= 6.8
+        shifted[:, 1] += 100.0
+        tables = [bundled_table, bundled_table.with_values(scaled),
+                  uniform_table(4), positive_table(np.eye(3)),
+                  bundled_table.with_values(shifted), uniform_table(8),
+                  bundled_table]
+        got = fit_many(tables)
+        with pytest.raises(TooFewItems) as alone:
+            fit_and_rank(tables[3])
+        assert type(got[3]) is TooFewItems
+        assert str(got[3]) == str(alone.value)
+        for table, fitted in zip(tables, got):
+            if table is not tables[3]:
+                assert fitted_bytes(fitted) == fitted_bytes(
+                    fit_and_rank(table))
+
+    def test_a_failing_projection_fails_only_its_fit(self, bundled_table):
+        """A stacked call that raises is retried curve by curve: the fit
+        whose rows raise gets the exception it would get alone."""
+        data = normalize(bundled_table)
+        tiny = RankingCurve(np.linspace(0.0, 1e-300, 4)[:, None]
+                            * np.ones(data.values.shape[1]))
+        far = np.full(data.values.shape, 1e10)
+
+        def doomed():
+            yield tiny, far
+            raise AssertionError("sent feet it cannot have")
+
+        got = _lockstep([_fit_steps(data), doomed(), _fit_steps(data)],
+                        workers=1)
+        with pytest.raises(Exception) as alone:
+            project_points(tiny, far)
+        assert isinstance(alone.value, (DomainError, RuntimeWarning))
+        assert type(got[1]) is type(alone.value)
+        assert str(got[1]) == str(alone.value)
+        want = fit(data, feet=True)
+        for fitted in (got[0], got[2]):
+            assert fitted[0].control_points.tobytes() == (
+                want[0].control_points.tobytes())
+            assert fitted[1] == want[1]
+            assert fitted[2].tobytes() == want[2].tobytes()
+
+    @settings(max_examples=15, deadline=None)
+    @given(grid_tables(), st.sampled_from([1, 2]))
+    def test_batched_audit_on_grid_tables(self, table, trials):
+        assert_batched_audit_as_one_run_at_a_time(table, trials)
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    @pytest.mark.parametrize("seed", [9, 10, 17, 19])
+    def test_batched_audit_where_invariance_fails(self, seed, trials):
+        report = assert_batched_audit_as_one_run_at_a_time(
+            uniform_table(seed), trials)
+        if seed != 10 or trials == 2:
+            assert Verdict.FAIL in {
+                report.get(c).verdict for c in (
+                    Criterion.SCALE_INVARIANCE,
+                    Criterion.TRANSLATION_INVARIANCE)}
 
 
 def as_column(values):

@@ -465,6 +465,88 @@ class TestHardGeometry:
                 assert r**2 <= dense + np.ldexp(DENSE_SLACK, 2 * e)
 
 
+def seeded_group(d, k):
+    """Eight curves with standard normal control points and 240 points for
+    each, 120 near the curve and 120 spread about it, all times 2**k: the
+    projection groups of ``scripts/fit_digests.py``."""
+    rng = np.random.default_rng(d)
+    group = []
+    for _ in range(8):
+        c = curve(np.ldexp(rng.normal(size=(4, d)), k))
+        near = evaluate(c, rng.uniform(size=120)) + np.ldexp(
+            rng.normal(scale=0.05, size=(120, d)), k)
+        spread = np.ldexp(rng.normal(scale=2.0, size=(120, d)), k)
+        group.append((c, np.r_[near, spread]))
+    return group
+
+
+def assert_stack_equals_each_alone(group, workers=1):
+    curves = [c for c, _ in group]
+    got = project_points(curves, np.stack([x for _, x in group]),
+                         workers=workers)
+    assert [(a.shape, a.dtype) for a in got] == [
+        ((len(group), len(group[0][1])), np.dtype(t))
+        for t in (float, float, bool)]
+    for k, (c, x) in enumerate(group):
+        for a, b in zip(got, project_points(c, x)):
+            assert a[k].tobytes() == b.tobytes()
+
+
+class TestStacks:
+    """K curves with one (K, n, d) stack of rows, in one call: each row's
+    t, distance and clamp flag are the bits it gets alone."""
+
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    @pytest.mark.parametrize("d", [1, 2, 4, 6])
+    def test_seeded_curves_equal_each_alone(self, d, k):
+        assert_stack_equals_each_alone(seeded_group(d, k))
+
+    def test_evolute_case_equals_alone(self):
+        c, xs = evolute_case()
+        rng = np.random.default_rng(4)
+        other = curve(rng.normal(size=(4, 2)))
+        assert_stack_equals_each_alone(
+            [(c, xs), (other, rng.normal(size=xs.shape)), (c, xs[::-1])])
+
+    def test_tiles_of_many_rows_and_curves(self):
+        """K * n above BLOCK: the rows go through in tiles of at most BLOCK
+        rows in all, inline and on threads."""
+        group = [(c, np.tile(x, (5, 1))) for c, x in seeded_group(3, 0)]
+        assert 8 * len(group[0][1]) > BLOCK
+        for workers in (1, 2):
+            assert_stack_equals_each_alone(group, workers)
+
+    def test_one_curve_stack_and_empty_rows(self):
+        c, x = seeded_group(2, 0)[0]
+        assert_stack_equals_each_alone([(c, x)])
+        got = project_points([c, c], np.empty((2, 0, 2)))
+        assert [a.shape for a in got] == [(2, 0)] * 3
+
+    def test_validation(self):
+        c, x = seeded_group(2, 0)[0]
+        for pts in (x, np.stack([x, x, x])):
+            with pytest.raises(DomainError, match="a stack of 2 curves"):
+                project_points([c, c], pts)
+        with pytest.raises(DomainError, match="a stack of 0 curves"):
+            project_points([], np.empty((0, 3, 2)))
+        wide = curve(np.zeros((4, 3)) + np.arange(4.0)[:, None])
+        with pytest.raises(DomainError, match="curve has 3"):
+            project_points([c, wide], np.stack([x, x]))
+        with pytest.raises(DomainError, match="finite"):
+            project_points([c, c], np.stack([x, np.full_like(x, np.nan)]))
+
+    def test_a_curve_too_small_for_its_rows_raises_as_alone(self):
+        c, x = seeded_group(2, 0)[0]
+        tiny = curve(c.control_points * 1e-300)
+        far = np.full_like(x, 1e10)
+        with np.errstate(all="ignore"), pytest.raises(DomainError) as alone:
+            project_points(tiny, far)
+        with np.errstate(all="ignore"), pytest.raises(DomainError) as stack:
+            project_points([c, tiny], np.stack([x, far]))
+        assert "too far from the curve" in str(alone.value)
+        assert str(stack.value) == str(alone.value)
+
+
 def exact_foot_residual(P, x, t):
     """|g(t)| = |<x - C(t), C'(t)>| in exact rational arithmetic."""
     P = [[Fraction(v) for v in row] for row in P]
