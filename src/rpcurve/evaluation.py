@@ -21,9 +21,10 @@ orders, scores or curve; T perturbed runs for each invariance criterion;
 one rerun for Reproducibility, whose comparison NoFreeParameters also
 reports; and one run on the collinear table (curve methods only).  The
 first 2T + 2 are asked for at once, through the pipeline's ``run_many``
-where it has one: rpc's advances those same-shape fits together, one
-stacked projection per round (see :func:`rpcurve.fitting.fit_many`), and
-the rerun stays a fit of its own.  A run that raised fails only the
+where it has one: rpc's advances those same-shape fits together, with
+one stacked projection and one stacked set of normal equations per round
+(see :func:`rpcurve.fitting.fit_many`), and the rerun stays a fit of its
+own.  A run that raised fails only the
 criteria that read it; a failed base run is the ``pipeline error`` Fail of
 every criterion but OpenDataDeclared.
 

@@ -52,13 +52,13 @@ equals P (stationary on the cone), or when F is at rounding level; it
 stops on ``"max_iters"`` after ``MAX_PROJECTIONS`` (200) projections,
 rejected trials included.  The accepted distances never increase.
 
-The fit is a generator of the projections it needs (:func:`_fit_steps`).
-:func:`fit` answers each request with one :func:`project_points` call;
+The fit is a generator of the projections and normal equations it needs
+(:func:`_fit_steps`).  :func:`fit` answers each request with one call;
 :func:`fit_many` runs several fits in lockstep and answers, each round,
-all the fits of one table shape with one stacked call, which pays a
-call's fixed numpy cost once where the rows are few.  The audit's
-same-shape runs go through it, and it is the engine that fits from
-several starts (ROADMAP item 3) need.
+the requests of one kind on tables of one shape with one stacked call,
+which pays a call's fixed numpy cost once where the rows are few.  The
+audit's same-shape runs go through it, and it is the engine that fits
+from several starts (ROADMAP item 3) need.
 
 Every step is deterministic; there is no randomness anywhere, so a
 repeated fit on identical input is bit-identical.  The start line runs
@@ -86,7 +86,6 @@ from .bezier import (
     curve_from_dict,
     curve_to_dict,
     is_monotone,
-    second_derivative,
 )
 from .data import (
     IndicatorTable,
@@ -284,7 +283,7 @@ def init_curve(data: NormalizedTable) -> RankingCurve:
     )
 
 
-def _foot_derivatives(curve: RankingCurve, z: np.ndarray, ts: np.ndarray):
+def _foot_derivatives(curve, z: np.ndarray, ts: np.ndarray):
     """Residuals e = z - C(t) (n x d) and the factors of their exact
     Jacobian, in which each foot t_i moves with P,
 
@@ -297,28 +296,44 @@ def _foot_derivatives(curve: RankingCurve, z: np.ndarray, ts: np.ndarray):
         den_i = |C'(t_i)|^2 - <e_i, C''(t_i)>.
 
     An end foot stays put, and so does a foot whose denominator is not
-    positive beyond rounding (on or past the evolute): d t / d P = 0."""
-    pts = curve.control_points
+    positive beyond rounding (on or past the evolute): d t / d P = 0.
+    ``curve`` may also be a sequence of K curves, with z (K, n, d) and ts
+    (K, n): each factor then has a leading curve axis, and each curve's
+    are the bits it gets alone."""
+    pts = (curve.control_points if isinstance(curve, RankingCurve)
+           else np.array([c.control_points for c in curve]))
+    k = ts.ndim - 1  # 1 with a curve axis
     # cubic Bernstein values and derivatives from the quadratic ones:
     # B_k = (1 - t) b_k + t b_(k-1) and B'_k = 3 (b_(k-1) - b_k); the
     # elementwise work runs on items-last (transposed) layouts, and every
     # factor returned or multiplied by BLAS is laid out items-first
-    quad, zero = _casteljau_rows(np.eye(3), ts), np.zeros((1, ts.size))
+    quad, zero = _casteljau_rows(np.eye(3), ts), np.zeros((1, *ts.shape))
     lo, hi = np.concatenate([quad, zero]), np.concatenate([zero, quad])
-    basis_t = (1.0 - ts) * lo + ts * hi
+    st = 1.0 - ts
+    basis_t = st * lo + ts * hi
     dbasis_t = 3.0 * (hi - lo)
-    basis, dbasis = basis_t.T.copy(), dbasis_t.T.copy()
+    items_first = (*range(1, k + 2), 0)
+    basis = basis_t.transpose(items_first).copy()
+    dbasis = dbasis_t.transpose(items_first).copy()
     e = z - basis @ pts
     c1 = dbasis @ pts
-    speed2 = np.add.reduce(c1 * c1, axis=1)
-    den = speed2 - np.add.reduce(e * second_derivative(curve, ts), axis=1)
+    # C'' by de Casteljau on its two control points
+    h = 6.0 * (pts[..., 2:, :] - 2.0 * pts[..., 1:3, :] + pts[..., :2, :])
+    h = h.transpose(k + 1, *range(k + 1))[..., None]  # (d, [K,] 2, 1)
+    c2 = np.ascontiguousarray(
+        (st * h[..., 0, :] + ts * h[..., 1, :]).transpose(items_first))
+    speed2 = np.add.reduce(c1 * c1, axis=-1)
+    den = speed2 - np.add.reduce(e * c2, axis=-1)
     moves = (ts > 0.0) & (ts < 1.0) & (den > _EPS * speed2)
-    num = (dbasis_t[:, None] * e.T.copy() - basis_t[:, None] * c1.T.copy())
+    coords_first = (k + 1, *range(k + 1))
+    num = (dbasis_t[:, None] * e.transpose(coords_first).copy()
+           - basis_t[:, None] * c1.transpose(coords_first).copy())
     dt = np.divide(num, den, out=np.zeros_like(num), where=moves)
-    return e, basis, c1, dt.transpose(2, 0, 1).copy(), den
+    return (e, basis, c1, dt.transpose(*range(2, k + 3), 0, 1).copy(),
+            den)
 
 
-def _normal_equations(curve: RankingCurve, z: np.ndarray, ts: np.ndarray):
+def _normal_equations(curve, z: np.ndarray, ts: np.ndarray):
     """J^T J (4d x 4d), J^T e (4d) and the Hessian H (4d x 4d) of F / 2,
     for the Jacobian J (nd x 4d) of :func:`_foot_derivatives`, summed over
     the items without forming J, which would take O(n d^2) memory.  With
@@ -332,18 +347,24 @@ def _normal_equations(curve: RankingCurve, z: np.ndarray, ts: np.ndarray):
     where row i of U is B_i kron C'_i and row i of T is tau_i.  At a foot
     <C', e> = 0, so F / 2 has the gradient -vec(B^T e) (the envelope
     theorem), and H is its derivative with the feet moving; a foot that
-    does not move has tau_i = 0 and adds nothing."""
+    does not move has tau_i = 0 and adds nothing.  For a sequence of
+    curves (see :func:`_foot_derivatives`) each output has a leading curve
+    axis; the products are then stacked matrix products, one per curve."""
     e, basis, c1, dt, den = _foot_derivatives(curve, z, ts)
-    n, d = e.shape
-    tau = dt.reshape(n, -1)
+    *lead, n, d = e.shape
+    tau = dt.reshape(*lead, n, -1)
+    tau_t = tau.swapaxes(-1, -2)
+    basis_t = basis.swapaxes(-1, -2)
     # (B^T B) kron I_d, entry by entry
-    btb = ((basis.T @ basis)[:, None, :, None]
-           * np.eye(d)[:, None]).reshape(4 * d, 4 * d)
-    cross = (basis[:, :, None] * c1[:, None, :]).reshape(n, -1).T @ tau
-    jtj = (btb + cross + cross.T
-           + tau.T @ (np.add.reduce(c1 * c1, axis=1)[:, None] * tau))
-    grad = -(basis.T @ e).ravel() - tau.T @ np.add.reduce(c1 * e, axis=1)
-    hess = btb - tau.T @ (den[:, None] * tau)
+    btb = ((basis_t @ basis)[..., :, None, :, None]
+           * np.eye(d)[:, None]).reshape(*lead, 4 * d, 4 * d)
+    cross = (basis[..., None] * c1[..., None, :]).reshape(
+        *lead, n, -1).swapaxes(-1, -2) @ tau
+    jtj = (btb + cross + cross.swapaxes(-1, -2)
+           + tau_t @ (np.add.reduce(c1 * c1, axis=-1)[..., None] * tau))
+    grad = (-(basis_t @ e).reshape(*lead, -1)
+            - (tau_t @ np.add.reduce(c1 * e, axis=-1)[..., None])[..., 0])
+    hess = btb - tau_t @ (den[..., None] * tau)
     return jtj, grad, hess
 
 
@@ -436,10 +457,20 @@ def _free_directions(points: np.ndarray, signs: np.ndarray,
     return np.linalg.svd(np.array(rows))[2][len(rows):].T
 
 
+def _answer(kind: str, curve, *arrays, workers: int = 1):
+    """The answer to a request of :func:`_fit_steps`, for one curve or a
+    stack: ``"project"`` (curve, rows) gets the rows' (t, distance) from
+    :func:`project_points`, ``"normal"`` (curve, rows, t) the
+    :func:`_normal_equations` of those feet."""
+    if kind == "project":
+        return project_points(curve, *arrays, workers=workers)[:2]
+    return _normal_equations(curve, *arrays)
+
+
 def _fit_steps(data: NormalizedTable):
-    """The fit of :func:`fit` as a generator of its projections: it yields
-    (curve, rows) for each projection it needs, is sent that projection's
-    (t, distance) arrays as :func:`project_points` gives them, and returns
+    """The fit of :func:`fit` as a generator of the requests that
+    :func:`_answer` answers: it yields each projection and each set of
+    normal equations it needs, is sent the answer, and returns
     (curve, report, t)."""
     z = data.values
     projections = 0
@@ -452,7 +483,7 @@ def _fit_steps(data: NormalizedTable):
             best_end=BestEnd.AT_T1,
             transform=data.transform,
         )
-        ts, dist = yield candidate, z
+        ts, dist = yield "project", candidate, z
         return candidate, ts, float(np.sum(dist * dist))
 
     start = init_curve(data).control_points
@@ -471,7 +502,7 @@ def _fit_steps(data: NormalizedTable):
         if total <= floor:
             stop_reason = "tol"
             break
-        jtj, grad, hess = _normal_equations(curve, z, ts)
+        jtj, grad, hess = yield "normal", curve, z, ts
         scale = np.diag(np.diag(jtj))
         pts = curve.control_points
         basis = _free_directions(pts, signs, grad.reshape(pts.shape), faces)
@@ -550,14 +581,13 @@ def fit(data: NormalizedTable, config: FitConfig = FitConfig(), *,
     The recorded distances are those of the accepted iterates, so they never
     increase, and the returned curve is the last accepted one; each
     dimension then gets an exact monotonicity verdict.  The fit drives
-    :func:`_fit_steps` with one projection per request.
+    :func:`_fit_steps`, answering one request at a time.
     """
     steps = _fit_steps(data)
     try:
         request = next(steps)
         while True:
-            ts, dist, _ = project_points(*request, workers=config.workers)
-            request = steps.send((ts, dist))
+            request = steps.send(_answer(*request, workers=config.workers))
     except StopIteration as done:
         curve, report, ts = done.value
     return (curve, report, ts) if feet else (curve, report)
@@ -565,13 +595,14 @@ def fit(data: NormalizedTable, config: FitConfig = FitConfig(), *,
 
 def _lockstep(steps: list, workers: int) -> list:
     """Drive several generators of fits (see :func:`_fit_steps`) together.
-    Each round answers every fit that waits for a projection: the fits
-    whose rows have one shape share one stacked :func:`project_points`
-    call.  A row's foot does not depend on its batch, so each fit takes the
-    steps it takes alone.  Returns, per generator, what it returned or the
-    exception it raised; should a stacked call raise, its curves are
-    projected one by one, so that only the fit whose rows raise gets the
-    exception, as it would alone."""
+    Each round answers every fit that waits: the requests of one kind on
+    rows of one shape share one stacked call of :func:`_answer`, so that
+    the fits pay its fixed cost once.  A row's foot and each curve's normal
+    equations do not depend on the stack, so each fit takes the steps it
+    takes alone.  Returns, per generator, what it returned or the
+    exception it raised; should a stacked call raise, its requests are
+    answered one by one, so that only the fit whose request raises gets
+    the exception, as it would alone."""
     out: list = [None] * len(steps)
     waiting = {}
 
@@ -588,23 +619,22 @@ def _lockstep(steps: list, workers: int) -> list:
     while waiting:
         asked, waiting = waiting, {}
         groups: dict = {}
-        for i, (_, rows) in asked.items():
-            groups.setdefault(rows.shape, []).append(i)
-        for group in groups.values():
-            curves, rows = zip(*(asked[i] for i in group))
+        for i, (kind, _, rows, *_) in asked.items():
+            groups.setdefault((kind, rows.shape), []).append(i)
+        for (kind, _), group in groups.items():
+            curves, *arrays = zip(*(asked[i][1:] for i in group))
             try:
-                ts, dist, _ = project_points(curves, np.stack(rows),
-                                             workers=workers)
-                feet = list(zip(ts, dist))
-            except Exception:  # noqa: BLE001 - retried curve by curve
-                feet = []
+                stacked = _answer(kind, curves, *map(np.stack, arrays),
+                                  workers=workers)
+                answers = list(zip(*stacked))
+            except Exception:  # noqa: BLE001 - answered one by one
+                answers = []
                 for i in group:
                     try:
-                        feet.append(project_points(*asked[i],
-                                                   workers=workers)[:2])
+                        answers.append(_answer(*asked[i], workers=workers))
                     except Exception as exc:  # noqa: BLE001 - sent back
-                        feet.append(exc)
-            for i, answer in zip(group, feet):
+                        answers.append(exc)
+            for i, answer in zip(group, answers):
                 if isinstance(answer, Exception):
                     advance(i, steps[i].throw, answer)
                 else:
@@ -645,8 +675,9 @@ def _ranked_steps(table: IndicatorTable):
 def fit_many(tables, config: FitConfig = FitConfig()) -> list:
     """:func:`fit_and_rank` of each table, bit for bit, with the fits run
     in lockstep (see :func:`_lockstep`): each round makes one stacked
-    projection for all the fits of one table shape, where one call per fit
-    would each pay the fixed cost of a call.  Returns one entry per table:
+    projection, and one stacked set of normal equations, for the fits of
+    one table shape that ask for it, where one call per fit would each pay
+    the fixed cost of a call.  Returns one entry per table:
     its (curve, report, ranking), or the exception that its fit raised,
     which leaves the other fits as they are."""
     return _lockstep([_ranked_steps(table) for table in tables],

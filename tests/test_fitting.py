@@ -553,7 +553,7 @@ class TestLockstep:
         far = np.full(data.values.shape, 1e10)
 
         def doomed():
-            yield tiny, far
+            yield "project", tiny, far
             raise AssertionError("sent feet it cannot have")
 
         got = _lockstep([_fit_steps(data), doomed(), _fit_steps(data)],
@@ -569,6 +569,26 @@ class TestLockstep:
                 want[0].control_points.tobytes())
             assert fitted[1] == want[1]
             assert fitted[2].tobytes() == want[2].tobytes()
+
+    def test_stacked_normal_equations_equal_each_alone(self, bundled_fit,
+                                                       bundled_table):
+        curve, _ = bundled_fit
+        z = normalize(bundled_table).values
+        rng = np.random.default_rng(2)
+        curves = [curve] + [
+            RankingCurve(curve.control_points
+                         + rng.normal(scale=0.05, size=(4, z.shape[1])))
+            for _ in range(3)]
+        feet = [project_points(c, z)[0] for c in curves]
+        stacked = _normal_equations(curves, np.stack([z] * 4),
+                                    np.stack(feet))
+        factors = _foot_derivatives(curves, np.stack([z] * 4),
+                                    np.stack(feet))
+        for k, (c, ts) in enumerate(zip(curves, feet)):
+            for got, alone in ((stacked, _normal_equations(c, z, ts)),
+                               (factors, _foot_derivatives(c, z, ts))):
+                for a, b in zip(got, alone):
+                    assert a[k].tobytes() == b.tobytes()
 
     @settings(max_examples=15, deadline=None)
     @given(grid_tables(), st.sampled_from([1, 2]))
