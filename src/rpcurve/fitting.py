@@ -107,7 +107,7 @@ from .errors import (
     TooFewItems,
     TransformMismatch,
 )
-from .projection import project_points, score_from_t
+from .projection import BLOCK, project_points, score_from_t
 
 _EPS = float(np.finfo(float).eps)
 DAMPING_START = 1e-3  # Marquardt's mu: x4 after a rejected trial, /3 after
@@ -593,11 +593,31 @@ def fit(data: NormalizedTable, config: FitConfig = FitConfig(), *,
     return (curve, report, ts) if feet else (curve, report)
 
 
+def _answer_stack(kind: str, requests: list, workers: int) -> list:
+    """The answers to requests of one kind on rows of one shape, from one
+    stacked call of :func:`_answer`; should it raise, from one call per
+    request, each answer then what that call returned or raised."""
+    curves, *arrays = zip(*(request[1:] for request in requests))
+    try:
+        return list(zip(*_answer(kind, curves, *map(np.stack, arrays),
+                                 workers=workers)))
+    except Exception:  # noqa: BLE001 - answered one by one
+        answers = []
+        for request in requests:
+            try:
+                answers.append(_answer(*request, workers=workers))
+            except Exception as exc:  # noqa: BLE001 - sent back to its fit
+                answers.append(exc)
+        return answers
+
+
 def _lockstep(steps: list, workers: int) -> list:
     """Drive several generators of fits (see :func:`_fit_steps`) together.
     Each round answers every fit that waits: the requests of one kind on
-    rows of one shape share one stacked call of :func:`_answer`, so that
-    the fits pay its fixed cost once.  A row's foot and each curve's normal
+    rows of one shape share stacked calls of :func:`_answer`, so that the
+    fits pay its fixed cost once; a stack holds at most BLOCK rows in all
+    (or one fit's), which bounds the normal equations' temporaries as the
+    projector's blocks bound its own.  A row's foot and each curve's normal
     equations do not depend on the stack, so each fit takes the steps it
     takes alone.  Returns, per generator, what it returned or the
     exception it raised; should a stacked call raise, its requests are
@@ -621,24 +641,17 @@ def _lockstep(steps: list, workers: int) -> list:
         groups: dict = {}
         for i, (kind, _, rows, *_) in asked.items():
             groups.setdefault((kind, rows.shape), []).append(i)
-        for (kind, _), group in groups.items():
-            curves, *arrays = zip(*(asked[i][1:] for i in group))
-            try:
-                stacked = _answer(kind, curves, *map(np.stack, arrays),
-                                  workers=workers)
-                answers = list(zip(*stacked))
-            except Exception:  # noqa: BLE001 - answered one by one
-                answers = []
-                for i in group:
-                    try:
-                        answers.append(_answer(*asked[i], workers=workers))
-                    except Exception as exc:  # noqa: BLE001 - sent back
-                        answers.append(exc)
-            for i, answer in zip(group, answers):
-                if isinstance(answer, Exception):
-                    advance(i, steps[i].throw, answer)
-                else:
-                    advance(i, steps[i].send, answer)
+        for (kind, (n, _)), same in groups.items():
+            size = max(1, BLOCK // max(n, 1))  # BLOCK rows in all, or one fit's
+            for a in range(0, len(same), size):
+                group = same[a:a + size]
+                answers = _answer_stack(kind, [asked[i] for i in group],
+                                        workers)
+                for i, answer in zip(group, answers):
+                    if isinstance(answer, Exception):
+                        advance(i, steps[i].throw, answer)
+                    else:
+                        advance(i, steps[i].send, answer)
     return out
 
 

@@ -570,6 +570,25 @@ class TestLockstep:
             assert fitted[1] == want[1]
             assert fitted[2].tobytes() == want[2].tobytes()
 
+    def test_stacks_hold_at_most_block_rows(self):
+        """With BLOCK at 45 rows, the 20-row fits are answered two at a
+        time, with the bits each gets alone."""
+        tables = [uniform_table(seed) for seed in range(5)]
+        rows = []
+
+        def spy(answer):
+            def counted(kind, curve, z, *arrays, **kwargs):
+                rows.append(z.size // z.shape[-1])
+                return answer(kind, curve, z, *arrays, **kwargs)
+            return counted
+
+        with mock.patch.object(fitting, "BLOCK", 45), mock.patch.object(
+                fitting, "_answer", spy(fitting._answer)):
+            got = fit_many(tables)
+        assert max(rows) == 40 and min(rows) == 20
+        for table, fitted in zip(tables, got):
+            assert fitted_bytes(fitted) == fitted_bytes(fit_and_rank(table))
+
     def test_stacked_normal_equations_equal_each_alone(self, bundled_fit,
                                                        bundled_table):
         curve, _ = bundled_fit
