@@ -15,7 +15,9 @@ projection group gives ``proj d<d> 2^<k> digest clamped``: the digest
 covers the :func:`project_points` t, distance and clamped arrays of 240
 points on each of 8 seeded random curves of dimension d with coordinates
 scaled by 2**k (d = 1-6, k = -40, 0, 40), and the last field counts the
-clamped feet.
+clamped feet.  The next line, ``proj d<d> 2^<k> stack digest``, projects
+the group's 8 curves in one stacked call and digests each curve's arrays
+in the same order, so its digest equals the line before's.
 The last line is ``total projections N``, the sum over the tables' fits.
 Run it against two source trees and diff:
 
@@ -133,6 +135,10 @@ def main():
         clamped = sum(int(c.sum()) for _, _, c in feet)
         print(f"proj d{d} 2^{k}", digest(*(a for f in feet for a in f)),
               clamped)
+        stack = project_points([curve for curve, _ in group],
+                               np.stack([x for _, x in group]))
+        print(f"proj d{d} 2^{k} stack",
+              digest(*(a[i] for i in range(len(group)) for a in stack)))
     print("total projections", total)
 
 

@@ -53,11 +53,13 @@ stops on ``"max_iters"`` after ``MAX_PROJECTIONS`` (200) projections,
 rejected trials included.  The accepted distances never increase.
 
 The fit is a generator of the projections and normal equations it needs
-(:func:`_fit_steps`).  :func:`fit` answers each request with one call;
-:func:`fit_many` runs several fits in lockstep and answers, each round,
-the requests of one kind on tables of one shape with one stacked call,
-which pays a call's fixed numpy cost once where the rows are few.  The
-audit's same-shape runs go through it, and it is the engine that fits
+(:func:`_fit_steps`), and below it every call takes a stack of curves.
+One fit, of :func:`fit` or :func:`fit_and_rank`, runs in :func:`_drive`,
+which answers each request as a stack of one.  :func:`_lockstep` is for
+several fits: :func:`fit_many` runs them together and answers, each
+round, the requests of one kind on tables of one shape with one stacked
+call, which pays a call's fixed numpy cost once where the rows are few.
+The audit's same-shape runs go through it, and it is the engine that fits
 from several starts (ROADMAP item 3) need.
 
 Every step is deterministic; there is no randomness anywhere, so a
@@ -283,26 +285,23 @@ def init_curve(data: NormalizedTable) -> RankingCurve:
     )
 
 
-def _foot_derivatives(curve, z: np.ndarray, ts: np.ndarray):
-    """Residuals e = z - C(t) (n x d) and the factors of their exact
-    Jacobian, in which each foot t_i moves with P,
+def _foot_derivatives(curves, z: np.ndarray, ts: np.ndarray):
+    """Residuals e = z - C(t) and the factors of their exact Jacobian, in
+    which each foot t_i moves with P,
 
         d e_i / d P_kj = -B_k(t_i) u_j - C'(t_i) d t_i / d P_kj,
 
-    as (e, B (n x 4), C'(t) (n x d), d t / d P (n x 4 x d), den (n)).
+    for a stack of K curves with rows z (K, n, d) and feet ts (K, n), as
+    (e (K, n, d), B (K, n, 4), C'(t) (K, n, d), d t / d P (K, n, 4, d),
+    den (K, n)); each curve's are the bits it gets in a stack of one.
     Differentiating g_i = <e_i, C'(t_i)> = 0 gives
 
         d t_i / d P_kj = (B'_k e_ij - B_k C'_j) / den_i,
         den_i = |C'(t_i)|^2 - <e_i, C''(t_i)>.
 
     An end foot stays put, and so does a foot whose denominator is not
-    positive beyond rounding (on or past the evolute): d t / d P = 0.
-    ``curve`` may also be a sequence of K curves, with z (K, n, d) and ts
-    (K, n): each factor then has a leading curve axis, and each curve's
-    are the bits it gets alone."""
-    pts = (curve.control_points if isinstance(curve, RankingCurve)
-           else np.array([c.control_points for c in curve]))
-    k = ts.ndim - 1  # 1 with a curve axis
+    positive beyond rounding (on or past the evolute): d t / d P = 0."""
+    pts = np.array([c.control_points for c in curves])
     # cubic Bernstein values and derivatives from the quadratic ones:
     # B_k = (1 - t) b_k + t b_(k-1) and B'_k = 3 (b_(k-1) - b_k); the
     # elementwise work runs on items-last (transposed) layouts, and every
@@ -312,33 +311,30 @@ def _foot_derivatives(curve, z: np.ndarray, ts: np.ndarray):
     st = 1.0 - ts
     basis_t = st * lo + ts * hi
     dbasis_t = 3.0 * (hi - lo)
-    items_first = (*range(1, k + 2), 0)
-    basis = basis_t.transpose(items_first).copy()
-    dbasis = dbasis_t.transpose(items_first).copy()
+    basis = basis_t.transpose(1, 2, 0).copy()
+    dbasis = dbasis_t.transpose(1, 2, 0).copy()
     e = z - basis @ pts
     c1 = dbasis @ pts
-    # C'' by de Casteljau on its two control points
-    h = 6.0 * (pts[..., 2:, :] - 2.0 * pts[..., 1:3, :] + pts[..., :2, :])
-    h = h.transpose(k + 1, *range(k + 1))[..., None]  # (d, [K,] 2, 1)
+    # C'' by de Casteljau on its two control points, (d, K, 2, 1)
+    h = 6.0 * (pts[:, 2:] - 2.0 * pts[:, 1:3] + pts[:, :2])
+    h = h.transpose(2, 0, 1)[..., None]
     c2 = np.ascontiguousarray(
-        (st * h[..., 0, :] + ts * h[..., 1, :]).transpose(items_first))
+        (st * h[..., 0, :] + ts * h[..., 1, :]).transpose(1, 2, 0))
     speed2 = np.add.reduce(c1 * c1, axis=-1)
     den = speed2 - np.add.reduce(e * c2, axis=-1)
     moves = (ts > 0.0) & (ts < 1.0) & (den > _EPS * speed2)
-    coords_first = (k + 1, *range(k + 1))
-    num = (dbasis_t[:, None] * e.transpose(coords_first).copy()
-           - basis_t[:, None] * c1.transpose(coords_first).copy())
+    num = (dbasis_t[:, None] * e.transpose(2, 0, 1).copy()
+           - basis_t[:, None] * c1.transpose(2, 0, 1).copy())
     dt = np.divide(num, den, out=np.zeros_like(num), where=moves)
-    return (e, basis, c1, dt.transpose(*range(2, k + 3), 0, 1).copy(),
-            den)
+    return e, basis, c1, dt.transpose(2, 3, 0, 1).copy(), den
 
 
-def _normal_equations(curve, z: np.ndarray, ts: np.ndarray):
+def _normal_equations(curves, z: np.ndarray, ts: np.ndarray):
     """J^T J (4d x 4d), J^T e (4d) and the Hessian H (4d x 4d) of F / 2,
-    for the Jacobian J (nd x 4d) of :func:`_foot_derivatives`, summed over
-    the items without forming J, which would take O(n d^2) memory.  With
-    tau_i = d t_i / d P raveled, J_i = -(B_i kron I_d) - C'_i tau_i^T, so
-    that
+    each with a leading curve axis, for the Jacobians J (nd x 4d) of
+    :func:`_foot_derivatives` of a stack of curves, summed over the items
+    without forming J, which would take O(n d^2) memory.  With tau_i = d
+    t_i / d P raveled, J_i = -(B_i kron I_d) - C'_i tau_i^T, so that
 
         J^T J = (B^T B) kron I_d + U^T T + T^T U + T^T diag|C'|^2 T,
         J^T e = -vec(B^T e) - T^T <C', e>,
@@ -347,22 +343,21 @@ def _normal_equations(curve, z: np.ndarray, ts: np.ndarray):
     where row i of U is B_i kron C'_i and row i of T is tau_i.  At a foot
     <C', e> = 0, so F / 2 has the gradient -vec(B^T e) (the envelope
     theorem), and H is its derivative with the feet moving; a foot that
-    does not move has tau_i = 0 and adds nothing.  For a sequence of
-    curves (see :func:`_foot_derivatives`) each output has a leading curve
-    axis; the products are then stacked matrix products, one per curve."""
-    e, basis, c1, dt, den = _foot_derivatives(curve, z, ts)
-    *lead, n, d = e.shape
-    tau = dt.reshape(*lead, n, -1)
+    does not move has tau_i = 0 and adds nothing.  The products are
+    stacked matrix products, one per curve."""
+    e, basis, c1, dt, den = _foot_derivatives(curves, z, ts)
+    size, n, d = e.shape
+    tau = dt.reshape(size, n, -1)
     tau_t = tau.swapaxes(-1, -2)
     basis_t = basis.swapaxes(-1, -2)
     # (B^T B) kron I_d, entry by entry
     btb = ((basis_t @ basis)[..., :, None, :, None]
-           * np.eye(d)[:, None]).reshape(*lead, 4 * d, 4 * d)
+           * np.eye(d)[:, None]).reshape(size, 4 * d, 4 * d)
     cross = (basis[..., None] * c1[..., None, :]).reshape(
-        *lead, n, -1).swapaxes(-1, -2) @ tau
+        size, n, -1).swapaxes(-1, -2) @ tau
     jtj = (btb + cross + cross.swapaxes(-1, -2)
            + tau_t @ (np.add.reduce(c1 * c1, axis=-1)[..., None] * tau))
-    grad = (-(basis_t @ e).reshape(*lead, -1)
+    grad = (-(basis_t @ e).reshape(size, -1)
             - (tau_t @ np.add.reduce(c1 * e, axis=-1)[..., None])[..., 0])
     hess = btb - tau_t @ (den[..., None] * tau)
     return jtj, grad, hess
@@ -457,14 +452,14 @@ def _free_directions(points: np.ndarray, signs: np.ndarray,
     return np.linalg.svd(np.array(rows))[2][len(rows):].T
 
 
-def _answer(kind: str, curve, *arrays, workers: int = 1):
-    """The answer to a request of :func:`_fit_steps`, for one curve or a
-    stack: ``"project"`` (curve, rows) gets the rows' (t, distance) from
-    :func:`project_points`, ``"normal"`` (curve, rows, t) the
-    :func:`_normal_equations` of those feet."""
+def _answer(kind: str, curves, *arrays, workers: int = 1):
+    """The answer to requests of :func:`_fit_steps` for a stack of curves,
+    with a leading curve axis: ``"project"`` (curve, rows) gets the rows'
+    (t, distance) from :func:`project_points`, ``"normal"`` (curve, rows,
+    t) the :func:`_normal_equations` of those feet."""
     if kind == "project":
-        return project_points(curve, *arrays, workers=workers)[:2]
-    return _normal_equations(curve, *arrays)
+        return project_points(curves, *arrays, workers=workers)[:2]
+    return _normal_equations(curves, *arrays)
 
 
 def _fit_steps(data: NormalizedTable):
@@ -566,11 +561,8 @@ def _fit_steps(data: NormalizedTable):
     return curve, report, ts
 
 
-def fit(data: NormalizedTable, config: FitConfig = FitConfig(), *,
-        feet: bool = False):
-    """Projected Levenberg-Marquardt fit; returns (RankingCurve, FitReport),
-    and with ``feet`` also the rows' projection parameters t on the returned
-    curve, as :func:`project_points` gives them.
+def fit(data: NormalizedTable, config: FitConfig = FitConfig()):
+    """Projected Levenberg-Marquardt fit; returns (RankingCurve, FitReport).
 
     Each step models F by J^T J, or by its exact Hessian after an accepted
     iteration that lowered F by less than ``NEWTON_SWITCH`` relatively;
@@ -581,22 +573,38 @@ def fit(data: NormalizedTable, config: FitConfig = FitConfig(), *,
     The recorded distances are those of the accepted iterates, so they never
     increase, and the returned curve is the last accepted one; each
     dimension then gets an exact monotonicity verdict.  The fit drives
-    :func:`_fit_steps`, answering one request at a time.
+    :func:`_fit_steps` (see :func:`_drive`).
     """
-    steps = _fit_steps(data)
+    return _drive(_fit_steps(data), config.workers)[:2]
+
+
+def _drive(steps, workers: int):
+    """Run one generator of a fit (see :func:`_fit_steps`) to its end,
+    answering its requests one at a time, and return what it returns."""
     try:
         request = next(steps)
         while True:
-            request = steps.send(_answer(*request, workers=config.workers))
+            request = steps.send(_answer_one(*request, workers=workers))
     except StopIteration as done:
-        curve, report, ts = done.value
-    return (curve, report, ts) if feet else (curve, report)
+        return done.value
+
+
+def _answer_one(kind: str, curve, z: np.ndarray, *feet, workers: int):
+    """:func:`_answer` to one request, for a stack of one: the curve's own
+    :func:`project_points` (which projects it as a stack of one), or the
+    :func:`_normal_equations` of ``[curve]`` with the rows and feet as
+    views with a curve axis, answered as views without it."""
+    if kind == "project":
+        return project_points(curve, z, workers=workers)[:2]
+    jtj, grad, hess = _normal_equations([curve], z[None], feet[0][None])
+    return jtj[0], grad[0], hess[0]
 
 
 def _answer_stack(kind: str, requests: list, workers: int) -> list:
     """The answers to requests of one kind on rows of one shape, from one
     stacked call of :func:`_answer`; should it raise, from one call per
-    request, each answer then what that call returned or raised."""
+    request (see :func:`_answer_one`), each answer then what that call
+    returned or raised."""
     curves, *arrays = zip(*(request[1:] for request in requests))
     try:
         return list(zip(*_answer(kind, curves, *map(np.stack, arrays),
@@ -605,7 +613,7 @@ def _answer_stack(kind: str, requests: list, workers: int) -> list:
         answers = []
         for request in requests:
             try:
-                answers.append(_answer(*request, workers=workers))
+                answers.append(_answer_one(*request, workers=workers))
             except Exception as exc:  # noqa: BLE001 - sent back to its fit
                 answers.append(exc)
         return answers
@@ -660,14 +668,6 @@ def fit_table(table: IndicatorTable, config: FitConfig = FitConfig()):
     return fit(normalize(table), config)
 
 
-def _ranked(table: IndicatorTable, curve: RankingCurve, report: FitReport,
-            ts: np.ndarray):
-    """(curve, report, ranking) of a fit of the table, ranked from the feet
-    of the fit's last projection."""
-    scores = score_from_t(ts, curve.best_end)
-    return curve, report, make_ranking(table.item_ids, scores, "rpc")
-
-
 def fit_and_rank(table: IndicatorTable, config: FitConfig = FitConfig()):
     """:func:`fit_table` and the ranking of the table's own rows, as
     (curve, report, ranking).  The ranking is ``rank(table, curve)`` bit for
@@ -675,14 +675,16 @@ def fit_and_rank(table: IndicatorTable, config: FitConfig = FitConfig()):
     (both go through :func:`apply_transform`) onto the returned curve, and
     a row's foot does not depend on its batch, so the rows are not
     projected again."""
-    return _ranked(table, *fit(normalize(table), config, feet=True))
+    return _drive(_ranked_steps(table), config.workers)
 
 
 def _ranked_steps(table: IndicatorTable):
     """:func:`fit_and_rank` of the table as a generator of its projections,
-    as :func:`_fit_steps` makes them."""
-    fitted = yield from _fit_steps(normalize(table))
-    return _ranked(table, *fitted)
+    as :func:`_fit_steps` makes them, ranked from the feet of the fit's
+    last projection."""
+    curve, report, ts = yield from _fit_steps(normalize(table))
+    scores = score_from_t(ts, curve.best_end)
+    return curve, report, make_ranking(table.item_ids, scores, "rpc")
 
 
 def fit_many(tables, config: FitConfig = FitConfig()) -> list:

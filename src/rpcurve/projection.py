@@ -32,16 +32,18 @@ clamp products are unscaled (ROADMAP item 6): on a curve below about
 P1 = P2 = P3 = 0 takes the point 0 to t = 0.99899, not 1), and a point
 about 1e154 or more from an end overflows them, raising DomainError.
 
-One call can serve a stack of K curves of one dimension, with points
-(K, n, d): each curve's numbers (control points, exponent, hodograph,
-cells, quintic, tie slack, end vector and end tangents) broadcast along
-its own rows, so that the K projections pay one call's fixed cost.  A
-single curve runs the same block code without the curve axis.  Rows go
-through in blocks of at most BLOCK rows in total, over all curves, which
-bounds the temporaries; with several workers, whole blocks go to a thread
-pool.  Every operation is elementwise per row, so a point's result is
-bit-identical whether it is projected alone, in any batch or stack, or
-with any worker count, and memory is O(K * n * d).
+One call serves a stack of K curves of one dimension, with points
+(K, n, d), so that the K projections pay one call's fixed cost; a single
+curve is a stack of one, and every layer below ``project_points`` takes
+stacks alone.  Each curve's numbers (control points, scale, hodograph,
+cells, quintic, tie slack, end vector and end tangents) reach its own
+rows: a stack of one broadcasts them along the rows, and a stack of more
+gathers each row's by index.  Rows go through in blocks of at most BLOCK
+rows in total, over all curves, which bounds the temporaries; with
+several workers, whole blocks go to a thread pool.  Every operation is
+elementwise per row, so a point's result is bit-identical whether it is
+projected alone, in any batch or stack, or with any worker count, and
+memory is O(K * n * d).
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ from .errors import DomainError
 
 BLOCK = 2048
 TIE_RTOL = 2.0**-49  # eight units of rounding
-_POWERS = np.array([[1.0], [2.0], [3.0]])  # d/dt t**k = k t**(k - 1)
+_POWERS = np.array([1.0, 2.0, 3.0])[:, None, None]  # d/dt t**k = k t**(k-1)
+_ROW_CELLS = _CELL_MATRICES[..., None, None]  # to broadcast along (K, m)
 
 
 @dataclass(frozen=True)
@@ -76,46 +79,46 @@ class ProjectionResult:
 
 
 class _Kernel(NamedTuple):
-    """Everything about one curve that the projection of a block needs.
-    Coefficient arrays are laid out coefficient-major, (6, ...), so that
-    each coefficient of many cells is one contiguous row.  A stack of
-    curves has one kernel of the same fields (see :func:`_stacked`)."""
+    """Everything about a stack of K curves of one dimension that the
+    projection of a block of rows (K, m) needs, laid out to broadcast
+    along the rows: control points (K, 4, d), shifts (K, 1, 1),
+    hodographs (3, K, 1, d), quintics (K, 6), cells (6, CELLS, K, 1),
+    slacks (K) and end tangents (K, 2, d).  Coefficients come first where
+    many rows or cells use them, so that each coefficient is one
+    contiguous run."""
 
     control_points: np.ndarray
-    exponent: np.intc  # D and y enter g scaled by 2**-exponent, nothing else
-    hodograph: np.ndarray  # 3 x d power coefficients of the scaled C'
+    shift: np.ndarray  # D and y enter g times 2**shift, nothing else
+    hodograph: np.ndarray  # power coefficients of the scaled C'
     quintic: np.ndarray  # 6 power coefficients of the scaled <D, D'>
-    cells: np.ndarray  # 6 x CELLS Bernstein coefficients of the same
-    slack: float  # s = sqrt(dim) max |P|, the tie slack's length scale
+    cells: np.ndarray  # Bernstein coefficients of the same on each cell
+    slack: np.ndarray  # s = sqrt(dim) max |P|, the tie slack's length scale
+    tangents: np.ndarray  # C'(0) = 3 (P1 - P0) and C'(1) = 3 (P3 - P2)
 
 
-def _kernel(curve: RankingCurve) -> _Kernel:
-    cp = curve.control_points
-    a = _power_coefficients(cp - cp[0])  # a0 = 0
-    e = np.frexp(np.maximum.reduce(np.abs(a), axis=None))[1]  # an intc
-    a = np.ldexp(a, -e)
+def _kernel(curves: Sequence[RankingCurve]) -> _Kernel:
+    cp = np.array([c.control_points for c in curves])
+    dim = cp.shape[2]
+    a = _power_coefficients(cp.swapaxes(0, 1) - cp[:, 0])  # (4, K, d), a0 = 0
+    shift = -np.frexp(np.maximum.reduce(np.abs(a), axis=(0, 2),
+                                        keepdims=True))[1]  # (1, K, 1)
+    a = np.ldexp(a, shift)
     da = a[1:] * _POWERS
-    dd = sum(np.convolve(a[:, j], da[:, j]) for j in range(curve.dim))
-    cells = np.add.reduce(dd[:, None, None] * _CELL_MATRICES)
-    s = math.sqrt(curve.dim) * np.maximum.reduce(np.abs(cp), axis=None)
-    return _Kernel(cp, e, da, dd, cells, s)
-
-
-def _stacked(kerns) -> _Kernel:
-    """The kernel of a stack of K curves, laid out to broadcast along a
-    block of rows (K, m): control points (K, 4, d), exponents (K, 1, 1),
-    hodographs (K, 3, d), quintics (K, 6), cells (6, CELLS, K) and slacks
-    (K)."""
-    cp, e, hodograph, quintic, cells, s = zip(*kerns)
-    return _Kernel(np.array(cp), np.array(e)[:, None, None],
-                   np.array(hodograph), np.array(quintic),
-                   np.stack(cells, axis=-1), np.array(s))
+    # one np.convolve per curve and dimension: a sum per output coefficient
+    # in any other order would round differently
+    dd = np.array([sum(np.convolve(a[:, k, j], da[:, k, j])
+                       for j in range(dim)) for k in range(len(cp))])
+    cells = np.add.reduce(dd.T[:, None, None, :, None] * _ROW_CELLS)
+    s = math.sqrt(dim) * np.maximum.reduce(np.abs(cp), axis=(1, 2))
+    tangents = 3.0 * (cp[:, 1::2] - cp[:, ::2])
+    return _Kernel(cp, shift.swapaxes(0, 1), da[:, :, None], dd, cells, s,
+                   tangents)
 
 
 def _linear_part(kern: _Kernel, y: np.ndarray) -> np.ndarray:
-    """(3, ...) power coefficients of <y, C'(t)> for the rows of y (..., d):
-    one curve's (n, d) or a stack's (K, m, d).  Summed in a fixed order."""
-    da = kern.hodograph.swapaxes(0, -2)[..., None, :]
+    """(3, K, m) power coefficients of <y, C'(t)> for the rows of y
+    (K, m, d).  Summed in a fixed order."""
+    da = kern.hodograph
     lin = y[..., 0] * da[..., 0]
     for j in range(1, y.shape[-1]):
         lin = lin + y[..., j] * da[..., j]
@@ -131,30 +134,28 @@ def _squared_norms(diff: np.ndarray) -> np.ndarray:
 
 
 def _project_block(kern: _Kernel, pts: np.ndarray):
-    """(t, distance, clamped) of a block of rows, each shaped like the
-    rows: one curve's kernel and rows (n, d), or a stack's kernel (see
-    :func:`_stacked`) and rows (K, m, d), with the k-th rows on curve k."""
-    lead, dim = pts.shape[:-1], pts.shape[-1]
-    n, m = math.prod(lead), lead[-1]  # row r is row r % m of curve r // m
-    stack = len(lead) == 2
+    """(t, distance, clamped) of a block of rows (K, m, d), the k-th rows
+    on curve k of the stack's kernel, each flat (K * m), curve by curve."""
+    size, m, dim = pts.shape
+    n = size * m  # row r is row r % m of curve r // m
 
     def by_row(per_curve: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """A stack's per-curve values (K, ...) of each of the rows, rows
-        first; one curve's values as they are."""
-        return per_curve.take(rows // m, axis=0) if stack else per_curve
+        """The per-curve values (K, ...) of each of the rows, rows first:
+        one curve's values broadcast, several curves' gathered."""
+        return (per_curve[0] if size == 1
+                else per_curve.take(rows // m, axis=0))
 
     cp = kern.control_points
-    y, y3 = pts - cp[..., :1, :], pts - cp[..., 3:, :]
-    lin = _linear_part(kern, np.ldexp(y, -kern.exponent))
+    y, y3 = pts - cp[:, :1], pts - cp[:, 3:]
+    lin = _linear_part(kern, np.ldexp(y, kern.shift))
     if not np.isfinite(lin).all():
         raise DomainError("points lie too far from the curve for its scale")
-    b = lin[0] - kern.cells[..., None]  # (6, CELLS, *lead)
+    b = lin[0] - kern.cells  # (6, CELLS, K, m)
     for i in (1, 2):
-        b += lin[i] * _CELL_MATRICES[i][(..., None, None) if stack else
-                                        (..., None)]
-    if stack:  # every row on its own from here on, to be laid out (K, m)
-        lin, pts = lin.reshape(3, n), pts.reshape(n, dim)
-        y, y3 = y.reshape(n, dim), y3.reshape(n, dim)
+        b += lin[i] * _ROW_CELLS[i]
+    # every row on its own from here on, to be laid out (K, m)
+    lin, pts = lin.reshape(3, n), pts.reshape(n, dim)
+    y, y3 = y.reshape(n, dim), y3.reshape(n, dim)
     (b_rows, lo, hi, start), (m_rows, mids) = _isolate(b, n)
     # g = <y, C'> - <D, D'>: only its three lowest coefficients vary by row
     q = by_row(kern.quintic, b_rows).T  # (6,) or (6, rows)
@@ -181,7 +182,7 @@ def _project_block(kern: _Kernel, pts: np.ndarray):
         # that are equally far in exact arithmetic are chosen alike,
         # whatever their last bits.  Equal t give equal d^2 bits.  A row
         # keeps the sentinel t = 2 when only t = 1 is near it.
-        s = np.repeat(kern.slack, m) if stack else kern.slack
+        s = kern.slack[0] if size == 1 else np.repeat(kern.slack, m)
         lim = d2_min + TIE_RTOL * (d2_min + 2.0 * s * np.sqrt(d2_min))
     if not (np.isfinite(d2).all() and np.isfinite(lim).all()):
         raise DomainError("points lie too far from the curve for its scale")
@@ -198,7 +199,7 @@ def _project_block(kern: _Kernel, pts: np.ndarray):
     end0 = (d2_0 <= lim).nonzero()[0]
     if end0.size:
         rtol = max(TIE_RTOL, (dim + 3) * 2.0**-53)
-        w = cp[..., 3, :] - cp[..., 0, :]
+        w = cp[:, 3] - cp[:, 0]
         w = np.ldexp(w, -np.frexp(np.abs(w).max(axis=-1, keepdims=True))[1])
         w = by_row(w, end0)
         y0, y30 = y.take(end0, axis=0), y3.take(end0, axis=0)
@@ -216,34 +217,36 @@ def _project_block(kern: _Kernel, pts: np.ndarray):
     # g at each end, from C'(0) = 3 (P1 - P0) and C'(1) = 3 (P3 - P2), on
     # the rows whose foot is that end: clamped where g points outwards
     clamped = np.zeros(n, dtype=bool)
-    for end, ys, (k, j), out in ((0.0, y, (1, 0), -1.0),
-                                 (1.0, y3, (3, 2), 1.0)):
+    for end, ys, outwards in ((0.0, y, np.less), (1.0, y3, np.greater)):
         rows = (t_best == end).nonzero()[0]
-        tangent = 3.0 * (cp[..., k, :] - cp[..., j, :])
-        g = np.add.reduce(ys.take(rows, axis=0) * by_row(tangent, rows),
-                          axis=-1)
-        clamped[rows] = out * g > 0.0
-    out = t_best, np.sqrt(d2_best), clamped
-    return tuple(a.reshape(lead) for a in out) if stack else out
+        tangent = by_row(kern.tangents[:, int(end)], rows)
+        g = np.add.reduce(ys.take(rows, axis=0) * tangent, axis=-1)
+        clamped[rows] = outwards(g, 0.0)
+    return t_best, np.sqrt(d2_best), clamped
 
 
 def project_points(curve: RankingCurve | Sequence[RankingCurve],
                    points: np.ndarray, workers: int = 1):
     """Project many points; returns (t, distance, clamped) arrays.
 
-    ``curve`` is one curve, with points (n, d) and arrays (n), or a
-    sequence of K curves of one dimension, with a stack of points
-    (K, n, d) whose k-th rows go onto the k-th curve, and arrays (K, n).
-    The rows go through in blocks of at most BLOCK rows in all;
-    ``workers`` > 1 projects the blocks on that many threads, and a batch
-    of one block runs inline.  DomainError if ``workers`` < 1."""
+    ``curve`` is one curve, with points (n, d) or one point (d,) and
+    arrays (n) or (1), or a sequence of K curves of one dimension, with a
+    stack of points (K, n, d) whose k-th rows go onto the k-th curve, and
+    arrays (K, n); one curve is projected as a stack of one.  The rows go
+    through in blocks of at most BLOCK rows in all; ``workers`` > 1
+    projects the blocks on that many threads, and a batch of one block
+    runs inline.  DomainError if ``workers`` < 1 or the points are not
+    shaped so."""
     if workers < 1:
         raise DomainError("workers must be >= 1")
-    one = isinstance(curve, RankingCurve)
-    curves = [curve] if one else list(curve)
     pts = np.asarray(points, dtype=float)
+    one = isinstance(curve, RankingCurve)
+    if one and not 1 <= pts.ndim <= 2:
+        raise DomainError(
+            f"one curve takes points of shape (d,) or (n, d), got {pts.shape}")
+    curves = [curve] if one else list(curve)
     if one:
-        pts = np.atleast_2d(pts)
+        pts = pts[(None,) * (3 - pts.ndim)]  # a stack of one, (1, n, d)
     elif pts.ndim != 3 or not curves or len(pts) != len(curves):
         raise DomainError(
             f"a stack of {len(curves)} curves takes points of shape "
@@ -256,22 +259,28 @@ def project_points(curve: RankingCurve | Sequence[RankingCurve],
             )
     if not np.isfinite(pts).all():
         raise DomainError("points must be finite")
-    # blocks of at most BLOCK rows in all: one curve's rows BLOCK at a time,
-    # or a group of up to BLOCK curves' rows BLOCK // group at a time
-    if one:
-        groups, rows = [(_kernel(curve), pts)], BLOCK
+    # blocks of at most BLOCK rows in all: a group of up to BLOCK curves'
+    # rows BLOCK // group at a time, so one curve's BLOCK at a time
+    size = min(len(curves), BLOCK)
+    rows, n = BLOCK // size, pts.shape[1]
+    if len(curves) == size and n <= rows:
+        out = _project_block(_kernel(curves), pts)
     else:
-        kerns = [_kernel(c) for c in curves]
-        size = min(len(kerns), BLOCK)
-        groups = [(_stacked(kerns[a:a + size]), pts[a:a + size])
-                  for a in range(0, len(kerns), size)]
-        rows = BLOCK // size
-    n = pts.shape[-2]
-    if len(groups) == 1 and n <= rows:
-        return _project_block(*groups[0])
-    starts = range(0, max(n, 1), rows)
-    blocks = [(kern, p[..., i:i + rows, :]) for kern, p in groups
-              for i in starts]
+        out = _project_blocks(curves, pts, size, rows, workers)
+    return out if one else tuple(a.reshape(pts.shape[:2]) for a in out)
+
+
+def _project_blocks(curves: list, pts: np.ndarray, size: int, rows: int,
+                    workers: int):
+    """The flat arrays of :func:`_project_block` for a stack larger than
+    one block, from blocks of ``size`` curves' ``rows`` rows."""
+    starts = range(0, max(pts.shape[1], 1), rows)
+    blocks, spans = [], []
+    for a in range(0, len(curves), size):
+        kern = _kernel(curves[a:a + size])
+        for i in starts:
+            spans.append(np.s_[a:a + size, i:i + rows])
+            blocks.append((kern, pts[spans[-1]]))
     if workers == 1:
         parts = [_project_block(*block) for block in blocks]
     else:
@@ -279,18 +288,21 @@ def project_points(curve: RankingCurve | Sequence[RankingCurve],
 
         with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             parts = list(pool.map(_project_block, *zip(*blocks)))
-    per = len(starts)
-    return tuple(
-        np.concatenate([np.concatenate([p[k] for p in parts[g:g + per]],
-                                       axis=-1)
-                        for g in range(0, len(parts), per)])
-        for k in range(3))
+    out = (np.empty(pts.shape[:2]), np.empty(pts.shape[:2]),
+           np.empty(pts.shape[:2], dtype=bool))
+    for span, part in zip(spans, parts):
+        for whole, got in zip(out, part):
+            whole[span] = got.reshape(whole[span].shape)
+    return tuple(a.ravel() for a in out)
 
 
 def project_point(curve: RankingCurve, x: np.ndarray) -> ProjectionResult:
-    """Project a single point onto the curve."""
-    pts = np.asarray(x, dtype=float)[None, :]
-    ts, dist, clamped = project_points(curve, pts)
+    """Project a single point (d,) onto the curve; DomainError if the point
+    is not shaped so."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim != 1:
+        raise DomainError(f"a point has shape (d,), got {pts.shape}")
+    ts, dist, clamped = project_points(curve, pts[None])
     return ProjectionResult(
         t=float(ts[0]), distance=float(dist[0]), clamped=bool(clamped[0])
     )

@@ -319,11 +319,11 @@ class TestFit:
         t = line_table(make_table, n=40, d=3, noise=0.05, seed=8)
         calls = {"normal": 0, "uphill": 0}
 
-        def normal_equations(curve, z, ts):
-            jtj, grad, hess = _normal_equations(curve, z, ts)
+        def normal_equations(curves, z, ts):
+            jtj, grad, hess = _normal_equations(curves, z, ts)
             calls["normal"] += 1
-            pts = curve.control_points
-            calls["pts"] = pts + 1e-9 * grad.reshape(pts.shape)
+            pts = curves[0].control_points
+            calls["pts"] = pts + 1e-9 * grad[0].reshape(pts.shape)
             return jtj, grad, hess
 
         def constrain(points, signs):
@@ -353,9 +353,10 @@ class TestFit:
         seen, events = {}, []
         project = fitting.project_points
 
-        def normal_equations(curve, z, ts):
-            jtj, grad, hess = _normal_equations(curve, z, ts)
-            seen.update(pts=curve.control_points, grad=grad, hess=hess)
+        def normal_equations(curves, z, ts):
+            jtj, grad, hess = _normal_equations(curves, z, ts)
+            seen.update(pts=curves[0].control_points, grad=grad[0],
+                        hess=hess[0])
             return jtj, grad, hess
 
         def constrain(points, signs):
@@ -563,7 +564,8 @@ class TestLockstep:
         assert isinstance(alone.value, (DomainError, RuntimeWarning))
         assert type(got[1]) is type(alone.value)
         assert str(got[1]) == str(alone.value)
-        want = fit(data, feet=True)
+        curve, report = fit(data)
+        want = curve, report, project_points(curve, data.values)[0]
         for fitted in (got[0], got[2]):
             assert fitted[0].control_points.tobytes() == (
                 want[0].control_points.tobytes())
@@ -604,8 +606,10 @@ class TestLockstep:
         factors = _foot_derivatives(curves, np.stack([z] * 4),
                                     np.stack(feet))
         for k, (c, ts) in enumerate(zip(curves, feet)):
-            for got, alone in ((stacked, _normal_equations(c, z, ts)),
-                               (factors, _foot_derivatives(c, z, ts))):
+            for got, alone in ((stacked, one_curve(_normal_equations,
+                                                   c, z, ts)),
+                               (factors, one_curve(_foot_derivatives,
+                                                   c, z, ts))):
                 for a, b in zip(got, alone):
                     assert a[k].tobytes() == b.tobytes()
 
@@ -823,6 +827,12 @@ def foot_residuals(points, z):
     return z - evaluate(c, ts), (ts == 0.0) | (ts == 1.0)
 
 
+def one_curve(factors, curve, z, ts):
+    """``factors`` (:func:`_foot_derivatives` or :func:`_normal_equations`)
+    of one curve, as a stack of one, without the curve axis."""
+    return tuple(a[0] for a in factors([curve], z[None], ts[None]))
+
+
 def reference_jacobian(basis, c1, dt):
     """J (n, d, 4, d), [i, a, k, j] = -B_k(t_i) [a = j] - C'_a(t_i) dt_kj."""
     d = c1.shape[1]
@@ -874,7 +884,7 @@ class TestJacobian:
         a foot between an end and the interior, where e has a kink: on the
         bundled fit that is row 0, at t = 1 with g(1) = 6e-8."""
         c, z, ts = case
-        e, basis, c1, dt, _ = _foot_derivatives(c, z, ts)
+        e, basis, c1, dt, _ = one_curve(_foot_derivatives, c, z, ts)
         np.testing.assert_allclose(e, z - evaluate(c, ts), rtol=0, atol=1e-14)
         jac = reference_jacobian(basis, c1, dt)
         ends = (ts == 0.0) | (ts == 1.0)
@@ -895,9 +905,9 @@ class TestJacobian:
 
     def test_normal_equations_sum_the_jacobian(self, case):
         c, z, ts = case
-        e, basis, c1, dt, _ = _foot_derivatives(c, z, ts)
+        e, basis, c1, dt, _ = one_curve(_foot_derivatives, c, z, ts)
         jac = reference_jacobian(basis, c1, dt).reshape(e.size, -1)
-        jtj, grad, _ = _normal_equations(c, z, ts)
+        jtj, grad, _ = one_curve(_normal_equations, c, z, ts)
         np.testing.assert_allclose(jtj, jac.T @ jac, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grad, jac.T @ e.ravel(), rtol=1e-12,
                                    atol=1e-12)
@@ -907,7 +917,7 @@ class TestJacobian:
         ts, _, _ = project_points(c, z)
         ends = (ts == 0.0) | (ts == 1.0)
         assert ends.any() and not ends.all()
-        dt = _foot_derivatives(c, z, ts)[3]
+        dt = one_curve(_foot_derivatives, c, z, ts)[3]
         assert not dt[ends].any() and dt[~ends].any(axis=(1, 2)).all()
 
     def test_feet_on_and_past_the_evolute(self):
@@ -918,8 +928,8 @@ class TestJacobian:
         z = np.array([[1.5, -0.75], [1.5, -2.0], [1.5, 0.25]])
         ts = np.full(3, 0.5)
         with np.errstate(all="raise"):
-            dt = _foot_derivatives(c, z, ts)[3]
-            jtj, grad, hess = _normal_equations(c, z, ts)
+            dt = one_curve(_foot_derivatives, c, z, ts)[3]
+            jtj, grad, hess = one_curve(_normal_equations, c, z, ts)
         assert not dt[:2].any() and dt[2].any()
         assert np.all(np.isfinite(jtj)) and np.all(np.isfinite(grad))
         assert np.all(np.isfinite(hess))
@@ -950,7 +960,7 @@ class TestHessian:
         c, z = TestJacobian.named_case(name, bundled_fit, bundled_table)
         ts, _, _ = project_points(c, z)
         ends = (ts == 0.0) | (ts == 1.0)
-        _, grad, hess = _normal_equations(c, z, ts)
+        _, grad, hess = one_curve(_normal_equations, c, z, ts)
         pts, h = c.control_points, 1e-6
         np.testing.assert_allclose(
             grad, envelope_terms(pts, z)[0].sum(axis=0).ravel(), rtol=0,
@@ -966,7 +976,8 @@ class TestHessian:
             fd[:, :, col] = (plus - minus).reshape(z.shape[0], -1) / (2 * h)
         assert kinked.sum() <= 1
         for i in np.flatnonzero(~kinked):
-            row = _normal_equations(c, z[i:i + 1], ts[i:i + 1])[2]
+            row = one_curve(_normal_equations, c, z[i:i + 1],
+                            ts[i:i + 1])[2]
             np.testing.assert_allclose(row, fd[i], rtol=0, atol=1e-8)
 
 

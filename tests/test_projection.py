@@ -1,6 +1,7 @@
 """Orthogonal projection onto the curve, checked against brute force."""
 
 import dataclasses
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -112,6 +113,19 @@ class TestProjectPoint:
         with np.errstate(all="ignore"), pytest.raises(
                 DomainError, match="too far from the curve"):
             project_points(tiny, np.array([[1e10, 1e10]]))
+
+    @pytest.mark.parametrize("shape", [(), (1, 3, 2), (2, 1, 2)])
+    def test_points_of_a_wrong_shape_are_a_domain_error(self, shape):
+        """One curve takes points (d,) or (n, d); project_point takes a
+        point (d,) alone.  Any other shape is named in the error."""
+        c = curve([[0, 0], [0.3, 0.8], [0.7, 0.2], [1, 1]])
+        with pytest.raises(DomainError, match=re.escape(str(shape))):
+            project_points(c, np.full(shape, 0.5))
+        with pytest.raises(DomainError, match=re.escape(str(shape))):
+            project_point(c, np.full(shape, 0.5))
+        with pytest.raises(DomainError, match=re.escape("(2, 2)")):
+            project_point(c, np.ones((2, 2)))
+        assert project_points(c, np.full(2, 0.5))[0].shape == (1,)
 
 
 class TestProjectPoints:
@@ -265,14 +279,14 @@ def reference_block(kern, pts, near_ties):
     The same internals feed it, so on each row it must agree with
     ``_project_block`` bit for bit, with or without ``near_ties``."""
     n = pts.shape[0]
-    cp = kern.control_points
+    cp = kern.control_points[0]  # the kernel of a stack of one
     y, y3 = pts - cp[0], pts - cp[3]
-    lin = _linear_part(kern, np.ldexp(y, -kern.exponent))
-    b = lin[0] - kern.cells[:, :, None]
+    lin = _linear_part(kern, np.ldexp(y, kern.shift))[:, 0]
+    b = lin[0] - kern.cells[:, :, 0]
     for i in (1, 2):
         b = b + lin[i] * _CELL_MATRICES[i][:, :, None]
     (b_rows, lo, hi, start), (m_rows, mids) = _isolate(b, n)
-    coef = np.repeat(-kern.quintic[:, None], b_rows.size, axis=1)
+    coef = np.repeat(-kern.quintic[0][:, None], b_rows.size, axis=1)
     coef[:3] += lin[:, b_rows]
     feet = _newton(coef, lo, hi, start)
     inner_rows = np.concatenate([b_rows, m_rows])
@@ -391,8 +405,8 @@ class TestSelection:
         near; P3 nearer by more than NEAR_TIE must not.  Between, the end
         gap is within rounding, and either choice is right."""
         c, xs = case
-        kern = _kernel(c)
-        got = _project_block(kern, xs)
+        kern = _kernel([c])
+        got = _project_block(kern, xs[None])
         refs = [reference_block(kern, xs, ties) for ties in (False, True)]
         for ref in refs:
             assert [a.dtype for a in got] == [a.dtype for a in ref]
@@ -513,6 +527,20 @@ class TestStacks:
         rows in all, inline and on threads."""
         group = [(c, np.tile(x, (5, 1))) for c, x in seeded_group(3, 0)]
         assert 8 * len(group[0][1]) > BLOCK
+        for workers in (1, 2):
+            assert_stack_equals_each_alone(group, workers)
+
+    @pytest.mark.parametrize("size, n", [(1, BLOCK + 1),
+                                         (3, BLOCK // 3 - 1),
+                                         (3, BLOCK // 3),
+                                         (3, BLOCK // 3 + 1)])
+    def test_rows_at_a_block_edge(self, size, n):
+        """One curve's values broadcast along its rows, several curves'
+        are gathered by row; both meet a block edge here, one row before,
+        on or after it, inline and on threads."""
+        rng = np.random.default_rng(size * n)
+        group = [(curve(rng.normal(size=(4, 3))),
+                  rng.normal(scale=2.0, size=(n, 3))) for _ in range(size)]
         for workers in (1, 2):
             assert_stack_equals_each_alone(group, workers)
 
