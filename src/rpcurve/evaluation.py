@@ -23,8 +23,8 @@ reports; and one run on the collinear table (curve methods only).  The
 first 2T + 2 are asked for at once, through the pipeline's ``run_many``
 where it has one: rpc's advances those same-shape fits together, with
 one stacked projection and one stacked set of normal equations per round
-(see :func:`rpcurve.fitting.fit_many`), and the rerun stays a fit of its
-own.  A run that raised fails only the
+(see :func:`rpcurve.fitting.fit_many`), and the rerun is an independent
+fit, never a copy of the base run.  A run that raised fails only the
 criteria that read it; a failed base run is the ``pipeline error`` Fail of
 every criterion but OpenDataDeclared.
 

@@ -83,7 +83,6 @@ from .bezier import (
     BestEnd,
     Monotonicity,
     RankingCurve,
-    _casteljau_rows,
     _copositive,
     curve_from_dict,
     curve_to_dict,
@@ -302,13 +301,15 @@ def _foot_derivatives(curves, z: np.ndarray, ts: np.ndarray):
     An end foot stays put, and so does a foot whose denominator is not
     positive beyond rounding (on or past the evolute): d t / d P = 0."""
     pts = np.array([c.control_points for c in curves])
-    # cubic Bernstein values and derivatives from the quadratic ones:
+    # cubic Bernstein values and derivatives from the quadratic ones b =
+    # ((1 - t)^2, 2 t (1 - t), t^2), rounded as de Casteljau rounds them:
     # B_k = (1 - t) b_k + t b_(k-1) and B'_k = 3 (b_(k-1) - b_k); the
-    # elementwise work runs on items-last (transposed) layouts, and every
-    # factor returned or multiplied by BLAS is laid out items-first
-    quad, zero = _casteljau_rows(np.eye(3), ts), np.zeros((1, *ts.shape))
-    lo, hi = np.concatenate([quad, zero]), np.concatenate([zero, quad])
+    # elementwise work runs on items-last layouts, and every factor
+    # returned or multiplied by BLAS is laid out items-first
     st = 1.0 - ts
+    quad = np.array([st * st, 2.0 * (st * ts), ts * ts])
+    zero = np.zeros((1, *ts.shape))
+    lo, hi = np.concatenate([quad, zero]), np.concatenate([zero, quad])
     basis_t = st * lo + ts * hi
     dbasis_t = 3.0 * (hi - lo)
     basis = basis_t.transpose(1, 2, 0).copy()
@@ -454,8 +455,8 @@ def _free_directions(points: np.ndarray, signs: np.ndarray,
 
 def _answer(kind: str, curves, *arrays, workers: int = 1):
     """The answer to requests of :func:`_fit_steps` for a stack of curves,
-    with a leading curve axis: ``"project"`` (curve, rows) gets the rows'
-    (t, distance) from :func:`project_points`, ``"normal"`` (curve, rows,
+    with a leading curve axis: ``"project"`` (curves, rows) gets the rows'
+    (t, distance) from :func:`project_points`, ``"normal"`` (curves, rows,
     t) the :func:`_normal_equations` of those feet."""
     if kind == "project":
         return project_points(curves, *arrays, workers=workers)[:2]
@@ -463,9 +464,9 @@ def _answer(kind: str, curves, *arrays, workers: int = 1):
 
 
 def _fit_steps(data: NormalizedTable):
-    """The fit of :func:`fit` as a generator of the requests that
-    :func:`_answer` answers: it yields each projection and each set of
-    normal equations it needs, is sent the answer, and returns
+    """The fit of :func:`fit` as a generator of one curve's requests, which
+    :func:`_answer` answers in stacks: it yields each projection and each
+    set of normal equations it needs, is sent the answer, and returns
     (curve, report, t)."""
     z = data.values
     projections = 0
@@ -590,10 +591,8 @@ def _drive(steps, workers: int):
 
 
 def _answer_one(kind: str, curve, z: np.ndarray, *feet, workers: int):
-    """:func:`_answer` to one request, for a stack of one: the curve's own
-    :func:`project_points` (which projects it as a stack of one), or the
-    :func:`_normal_equations` of ``[curve]`` with the rows and feet as
-    views with a curve axis, answered as views without it."""
+    """:func:`_answer` to one request, as a stack of one seen without its
+    curve axis; :func:`project_points` makes one curve that stack itself."""
     if kind == "project":
         return project_points(curve, z, workers=workers)[:2]
     jtj, grad, hess = _normal_equations([curve], z[None], feet[0][None])

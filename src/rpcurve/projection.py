@@ -81,11 +81,9 @@ class ProjectionResult:
 class _Kernel(NamedTuple):
     """Everything about a stack of K curves of one dimension that the
     projection of a block of rows (K, m) needs, laid out to broadcast
-    along the rows: control points (K, 4, d), shifts (K, 1, 1),
-    hodographs (3, K, 1, d), quintics (K, 6), cells (6, CELLS, K, 1),
-    slacks (K) and end tangents (K, 2, d).  Coefficients come first where
-    many rows or cells use them, so that each coefficient is one
-    contiguous run."""
+    along them: control points (K, 4, d), shifts (K, 1, 1), hodographs (3,
+    K, 1, d), quintics (K, 6), cells (6, CELLS, K, 1), slacks (K) and end
+    tangents (K, 2, d); coefficients first, each one contiguous."""
 
     control_points: np.ndarray
     shift: np.ndarray  # D and y enter g times 2**shift, nothing else
@@ -140,10 +138,8 @@ def _project_block(kern: _Kernel, pts: np.ndarray):
     n = size * m  # row r is row r % m of curve r // m
 
     def by_row(per_curve: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The per-curve values (K, ...) of each of the rows, rows first:
-        one curve's values broadcast, several curves' gathered."""
-        return (per_curve[0] if size == 1
-                else per_curve.take(rows // m, axis=0))
+        """Per-curve values (K, ...) for the rows: one curve's broadcast."""
+        return per_curve[0] if size == 1 else per_curve.take(rows // m, 0)
 
     cp = kern.control_points
     y, y3 = pts - cp[:, :1], pts - cp[:, 3:]
@@ -259,41 +255,27 @@ def project_points(curve: RankingCurve | Sequence[RankingCurve],
             )
     if not np.isfinite(pts).all():
         raise DomainError("points must be finite")
-    # blocks of at most BLOCK rows in all: a group of up to BLOCK curves'
-    # rows BLOCK // group at a time, so one curve's BLOCK at a time
-    size = min(len(curves), BLOCK)
-    rows, n = BLOCK // size, pts.shape[1]
-    if len(curves) == size and n <= rows:
+    # blocks of at most BLOCK rows in all: as many whole curves as fit, or
+    # one curve's rows BLOCK at a time
+    n = pts.shape[1]
+    per = max(1, BLOCK // max(n, 1))
+    if len(curves) <= per and n <= BLOCK:
         out = _project_block(_kernel(curves), pts)
     else:
-        out = _project_blocks(curves, pts, size, rows, workers)
+        groups = range(0, len(curves), per)
+        kerns = [_kernel(curves[a:a + per]) for a in groups]
+        blocks = [(kern, pts[a:a + per, i:i + BLOCK])
+                  for a, kern in zip(groups, kerns)
+                  for i in range(0, max(n, 1), BLOCK)]
+        if workers == 1:
+            parts = [_project_block(*block) for block in blocks]
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(min(workers, len(blocks))) as pool:
+                parts = list(pool.map(_project_block, *zip(*blocks)))
+        out = tuple(np.concatenate([p[k] for p in parts]) for k in range(3))
     return out if one else tuple(a.reshape(pts.shape[:2]) for a in out)
-
-
-def _project_blocks(curves: list, pts: np.ndarray, size: int, rows: int,
-                    workers: int):
-    """The flat arrays of :func:`_project_block` for a stack larger than
-    one block, from blocks of ``size`` curves' ``rows`` rows."""
-    starts = range(0, max(pts.shape[1], 1), rows)
-    blocks, spans = [], []
-    for a in range(0, len(curves), size):
-        kern = _kernel(curves[a:a + size])
-        for i in starts:
-            spans.append(np.s_[a:a + size, i:i + rows])
-            blocks.append((kern, pts[spans[-1]]))
-    if workers == 1:
-        parts = [_project_block(*block) for block in blocks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            parts = list(pool.map(_project_block, *zip(*blocks)))
-    out = (np.empty(pts.shape[:2]), np.empty(pts.shape[:2]),
-           np.empty(pts.shape[:2], dtype=bool))
-    for span, part in zip(spans, parts):
-        for whole, got in zip(out, part):
-            whole[span] = got.reshape(whole[span].shape)
-    return tuple(a.ravel() for a in out)
 
 
 def project_point(curve: RankingCurve, x: np.ndarray) -> ProjectionResult:
