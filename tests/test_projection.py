@@ -523,26 +523,18 @@ class TestStacks:
             [(c, xs), (other, rng.normal(size=xs.shape)), (c, xs[::-1])])
 
     def test_tiles_of_many_rows_and_curves(self):
-        """K * n above BLOCK: the rows go through in tiles of at most BLOCK
-        rows in all, inline and on threads."""
-        group = [(c, np.tile(x, (5, 1))) for c, x in seeded_group(3, 0)]
-        assert 8 * len(group[0][1]) > BLOCK
-        for workers in (1, 2):
-            assert_stack_equals_each_alone(group, workers)
-
-    @pytest.mark.parametrize("size, n", [(1, BLOCK + 1),
-                                         (3, BLOCK // 3 - 1),
-                                         (3, BLOCK // 3),
-                                         (3, BLOCK // 3 + 1)])
-    def test_rows_at_a_block_edge(self, size, n):
-        """One curve's values broadcast along its rows, several curves'
-        are gathered by row; both meet a block edge here, one row before,
-        on or after it, inline and on threads."""
-        rng = np.random.default_rng(size * n)
-        group = [(curve(rng.normal(size=(4, 3))),
-                  rng.normal(scale=2.0, size=(n, 3))) for _ in range(size)]
-        for workers in (1, 2):
-            assert_stack_equals_each_alone(group, workers)
+        """K * n at or above BLOCK: the rows go through in tiles of at most
+        BLOCK rows in all, inline and on threads.  In a tile of one curve
+        its values broadcast along the rows, in a tile of several they are
+        gathered by row; the last three stacks put a tile edge one row
+        before, on and after the K = 3 curves' whole rows."""
+        for size, n in ((8, 5 * 240), (1, BLOCK + 1), (3, BLOCK // 3 - 1),
+                        (3, BLOCK // 3), (3, BLOCK // 3 + 1)):
+            group = [(c, np.resize(x, (n, 3)))
+                     for c, x in seeded_group(3, 0)[:size]]
+            assert size * n >= BLOCK - 5
+            for workers in (1, 2):
+                assert_stack_equals_each_alone(group, workers)
 
     def test_one_curve_stack_and_empty_rows(self):
         c, x = seeded_group(2, 0)[0]
