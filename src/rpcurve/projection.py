@@ -83,7 +83,8 @@ class _Kernel(NamedTuple):
     projection of a block of rows (K, m) needs, laid out to broadcast
     along them: control points (K, 4, d), shifts (K, 1, 1), hodographs (3,
     K, 1, d), quintics (K, 6), cells (6, CELLS, K, 1), slacks (K) and end
-    tangents (K, 2, d); coefficients first, each one contiguous."""
+    tangents (K, 2, d); hodographs and cells coefficient first, so that
+    each coefficient of many rows or cells is one contiguous run."""
 
     control_points: np.ndarray
     shift: np.ndarray  # D and y enter g times 2**shift, nothing else
@@ -104,8 +105,10 @@ def _kernel(curves: Sequence[RankingCurve]) -> _Kernel:
     da = a[1:] * _POWERS
     # one np.convolve per curve and dimension: a sum per output coefficient
     # in any other order would round differently
-    dd = np.array([sum(np.convolve(a[:, k, j], da[:, k, j])
-                       for j in range(dim)) for k in range(len(cp))])
+    dd = np.zeros((len(cp), 6))
+    for k in range(len(cp)):
+        for j in range(dim):
+            dd[k] += np.convolve(a[:, k, j], da[:, k, j])
     cells = np.add.reduce(dd.T[:, None, None, :, None] * _ROW_CELLS)
     s = math.sqrt(dim) * np.maximum.reduce(np.abs(cp), axis=(1, 2))
     tangents = 3.0 * (cp[:, 1::2] - cp[:, ::2])
@@ -149,7 +152,7 @@ def _project_block(kern: _Kernel, pts: np.ndarray):
     b = lin[0] - kern.cells  # (6, CELLS, K, m)
     for i in (1, 2):
         b += lin[i] * _ROW_CELLS[i]
-    # every row on its own from here on, to be laid out (K, m)
+    # every row on its own from here on, curve by curve
     lin, pts = lin.reshape(3, n), pts.reshape(n, dim)
     y, y3 = y.reshape(n, dim), y3.reshape(n, dim)
     (b_rows, lo, hi, start), (m_rows, mids) = _isolate(b, n)
