@@ -590,13 +590,12 @@ def _drive(steps, workers: int):
         return done.value
 
 
-def _answer_one(kind: str, curve, z: np.ndarray, *feet, workers: int):
-    """:func:`_answer` to one request, as a stack of one seen without its
-    curve axis; :func:`project_points` makes one curve that stack itself."""
-    if kind == "project":
-        return project_points(curve, z, workers=workers)[:2]
-    jtj, grad, hess = _normal_equations([curve], z[None], feet[0][None])
-    return jtj[0], grad[0], hess[0]
+def _answer_one(kind: str, curve, *arrays, workers: int):
+    """:func:`_answer` to one request, asked as a stack of one (views of
+    its arrays) and answered without the curve axis."""
+    answer = _answer(kind, [curve], *(a[None] for a in arrays),
+                     workers=workers)
+    return tuple(a[0] for a in answer)
 
 
 def _answer_stack(kind: str, requests: list, workers: int) -> list:

@@ -284,10 +284,9 @@ def project_points(curve: RankingCurve | Sequence[RankingCurve],
 def project_point(curve: RankingCurve, x: np.ndarray) -> ProjectionResult:
     """Project a single point (d,) onto the curve; DomainError if the point
     is not shaped so."""
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim != 1:
-        raise DomainError(f"a point has shape (d,), got {pts.shape}")
-    ts, dist, clamped = project_points(curve, pts[None])
+    if np.ndim(x) != 1:
+        raise DomainError(f"a point has shape (d,), got {np.shape(x)}")
+    ts, dist, clamped = project_points(curve, x)
     return ProjectionResult(
         t=float(ts[0]), distance=float(dist[0]), clamped=bool(clamped[0])
     )
